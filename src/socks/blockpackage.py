@@ -12,14 +12,16 @@ import fnmatch
 import glob as globlib
 import gzip
 import hashlib
-import io
+import os
 import re
 import shutil
 import tarfile
 import urllib.error
 import urllib.request
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import cached_property
 from pathlib import Path
 from urllib.parse import urlparse
 
@@ -31,10 +33,25 @@ STAMP_FORMAT = "%Y%m%dT%H%M%SZ"
 
 @dataclass(frozen=True)
 class BlockPackage:
+    """A block package on disk.
+
+    ``entries`` (the regular-file members) is read from the archive on first
+    use: deciding whether a block can be skipped needs only the digest.
+    """
+
     path: Path
     emitter: str
-    entries: tuple[str, ...]
     digest: str
+
+    @cached_property
+    def entries(self) -> tuple[str, ...]:
+        try:
+            with tarfile.open(self.path, "r:gz") as tar:
+                return tuple(m.name for m in tar if m.isfile())
+        except (tarfile.TarError, OSError, EOFError) as exc:
+            raise PackageError(
+                f"corrupt or unreadable block package {self.path}: {exc}") \
+                from exc
 
 
 @dataclass(frozen=True)
@@ -70,6 +87,50 @@ def archive_digest(path: str | Path) -> str:
     return sha.hexdigest()
 
 
+# Digests of the archives met during one orchestrator run, keyed on the
+# archive's stat identity.  None outside a run: the key cannot tell apart two
+# same-size writes within one timestamp tick, so it must never outlive a run.
+_run_digests: dict[tuple, str] | None = None
+
+
+@contextmanager
+def run_digest_memo():
+    """Hash each archive at most once while the ``with`` block runs."""
+    global _run_digests
+    _run_digests = {}
+    try:
+        yield
+    finally:
+        _run_digests = None
+
+
+def _stat_key(path: Path) -> tuple:
+    st = os.stat(path)
+    return (os.fspath(path), st.st_dev, st.st_ino, st.st_size,
+            st.st_mtime_ns, st.st_ctime_ns)
+
+
+def _memo_digest(path: Path) -> str:
+    if _run_digests is None:
+        return archive_digest(path)
+    key = _stat_key(path)
+    if key not in _run_digests:
+        _run_digests[key] = archive_digest(path)
+    return _run_digests[key]
+
+
+class _HashingWriter:
+    """Write-through file wrapper that hashes every byte it passes on."""
+
+    def __init__(self, raw):
+        self.raw = raw
+        self.sha = hashlib.sha256()
+
+    def write(self, data) -> int:
+        self.sha.update(data)
+        return self.raw.write(data)
+
+
 def _check_member_path(name: str) -> None:
     if name.startswith("/") or name.startswith("\\"):
         raise PackageError(f"absolute member path not allowed: {name}")
@@ -84,7 +145,8 @@ def create_package(block_id: str, output_dir: str | Path,
     """Write a canonical package of ``files`` (archive name -> source path).
 
     Identical content produces an identical digest regardless of when or in
-    which order the files were staged.
+    which order the files were staged.  Artifacts are streamed, so memory use
+    does not grow with their size.
     """
     items = sorted(dict(files).items())
     if not items:
@@ -97,53 +159,72 @@ def create_package(block_id: str, output_dir: str | Path,
     stamp = stamp or make_stamp()
     archive_path = output_dir / f"bp_{block_id}_{stamp}.tar.gz"
 
-    buf = io.BytesIO()
-    with tarfile.open(fileobj=buf, mode="w") as tar:
-        for name, src in items:
-            src = Path(src)
-            if not src.is_file():
-                raise PackageError(
-                    f"artifact missing while packaging block '{block_id}': {src}")
-            info = tarfile.TarInfo(name=name)
-            data = src.read_bytes()
-            info.size = len(data)
-            info.mtime = 0
-            info.uid = info.gid = 0
-            info.uname = info.gname = ""
-            info.mode = 0o755 if src.stat().st_mode & 0o111 else 0o644
-            tar.addfile(info, io.BytesIO(data))
-    raw = buf.getvalue()
-    with open(archive_path, "wb") as fh:
-        # filename="" keeps the stamped file name out of the gzip header,
-        # otherwise identical content would hash differently per build.
-        with gzip.GzipFile(filename="", fileobj=fh, mode="wb", mtime=0) as gz:
-            gz.write(raw)
+    # Written under a name no package glob matches and published with one
+    # rename, so an interrupted write never leaves a truncated package that
+    # the timestamp check would trust.
+    partial = output_dir / f".{archive_path.name}.partial"
+    try:
+        with open(partial, "wb") as raw:
+            sink = _HashingWriter(raw)
+            # filename="" keeps the stamped file name out of the gzip header,
+            # otherwise identical content would hash differently per build.
+            with gzip.GzipFile(filename="", fileobj=sink, mode="wb",
+                               mtime=0) as gz, \
+                    tarfile.open(fileobj=gz, mode="w") as tar:
+                for name, src in items:
+                    _add_member(tar, block_id, name, Path(src))
+        os.replace(partial, archive_path)
+    except BaseException as exc:
+        partial.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise PackageError(
+                f"cannot write block package {archive_path}: {exc}") from exc
+        raise
 
-    return BlockPackage(
-        path=archive_path,
-        emitter=block_id,
-        entries=tuple(name for name, _ in items),
-        digest=archive_digest(archive_path),
-    )
+    digest = sink.sha.hexdigest()
+    if _run_digests is not None:
+        _run_digests[_stat_key(archive_path)] = digest
+    package = BlockPackage(path=archive_path, emitter=block_id, digest=digest)
+    # The writer knows the listing: seed the cached property.
+    vars(package)["entries"] = tuple(name for name, _ in items)
+    return package
+
+
+def _add_member(tar: tarfile.TarFile, block_id: str, name: str,
+                src: Path) -> None:
+    if not src.is_file():
+        raise PackageError(
+            f"artifact missing while packaging block '{block_id}': {src}")
+    with open(src, "rb") as fh:
+        st = os.fstat(fh.fileno())
+        info = tarfile.TarInfo(name=name)
+        info.size = st.st_size
+        info.mtime = 0
+        info.uid = info.gid = 0
+        info.uname = info.gname = ""
+        info.mode = 0o755 if st.st_mode & 0o111 else 0o644
+        tar.addfile(info, fh)
 
 
 def open_package(path: str | Path, emitter: str = "") -> BlockPackage:
+    """Digest a package and check that it starts like one.
+
+    Only the gzip header and the first tar header are read; the member
+    listing waits for ``entries``.  A skip never needs it: a block skips only
+    when its ``imports.csv`` holds this digest, and the digest is recorded
+    only after these exact bytes were fully read.
+    """
     path = Path(path)
     try:
-        with tarfile.open(path, "r:gz") as tar:
-            entries = tuple(m.name for m in tar.getmembers() if m.isfile())
+        with tarfile.open(path, "r:gz"):
+            pass
     except (tarfile.TarError, OSError, EOFError) as exc:
         raise PackageError(f"corrupt or unreadable block package {path}: {exc}") \
             from exc
     if not emitter:
         match = re.match(r"^bp_([a-z0-9_]+)_", path.name)
         emitter = match.group(1) if match else ""
-    return BlockPackage(path=path, emitter=emitter, entries=entries,
-                        digest=archive_digest(path))
-
-
-def _stamp_key(path: Path) -> str:
-    return path.name
+    return BlockPackage(path=path, emitter=emitter, digest=_memo_digest(path))
 
 
 def resolve_dependency(ref: DependencyRef, project_dir: str | Path,
@@ -164,7 +245,7 @@ def resolve_dependency(ref: DependencyRef, project_dir: str | Path,
         raise PackageError(
             f"no block package matches '{ref.raw}'; "
             f"build the providing block first or import it")
-    return max(matches, key=_stamp_key)
+    return max(matches, key=lambda p: p.name)
 
 
 def _download(url: str, dest_dir: Path, credentials: dict | None) -> Path:

@@ -1,8 +1,8 @@
 """Materialize the bundled zynqmp-mock example project into a directory.
 
-The shipped example under ``examples/zynqmp-mock/`` cannot contain a live
-git repository, so the kernel-like block's upstream repo is created here at
-materialization time.  Usage::
+The example ships as package data under ``socks/examples/zynqmp-mock/``.
+It cannot contain a live git repository, so the kernel-like block's
+upstream repo is created here at materialization time.  Usage::
 
     python -m socks.fixture /path/to/workdir
 """
@@ -48,17 +48,12 @@ int main(void) { return 0; }
 
 
 def fixture_source() -> Path:
-    """The shipped example project (resolved relative to this package)."""
-    candidates = [
-        Path(__file__).resolve().parents[2] / "examples" / FIXTURE_NAME,
-        Path.cwd() / "examples" / FIXTURE_NAME,
-    ]
-    for candidate in candidates:
-        if (candidate / "socks.yml").exists():
-            return candidate
-    raise FileNotFoundError(
-        f"bundled example project '{FIXTURE_NAME}' not found "
-        f"(looked in: {', '.join(str(c) for c in candidates)})")
+    """The shipped example project (package data of ``socks``)."""
+    source = Path(__file__).resolve().parent / "examples" / FIXTURE_NAME
+    if not (source / "socks.yml").exists():
+        raise FileNotFoundError(
+            f"bundled example project '{FIXTURE_NAME}' not found in {source}")
+    return source
 
 
 def _git(repo: Path, *args: str) -> None:

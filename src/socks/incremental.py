@@ -12,6 +12,7 @@ import csv
 import logging
 import os
 import re
+import stat
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -31,31 +32,56 @@ CLOCK_SKEW_TOLERANCE = 2.0
 def newest_mtime(paths: list[str | Path]) -> float | None:
     """Recursive max modification time over files and directories.
 
-    VCS metadata directories are excluded so fetches do not cause spurious
-    rebuilds.  Returns None when nothing exists.
+    Directory mtimes count, so deleting or renaming an input is a change.
+    VCS metadata directories are skipped at any depth so fetches do not cause
+    spurious rebuilds.  Symlinked files count with their target's time,
+    broken links are ignored and symlinked directories are not descended.
+    Returns None when nothing exists.
     """
     newest: float | None = None
-
-    def consider(p: Path) -> None:
-        nonlocal newest
+    for raw in paths:
         try:
-            mtime = p.stat().st_mtime
-        except FileNotFoundError:
-            return
+            st = os.stat(raw)
+        except (FileNotFoundError, NotADirectoryError):
+            continue
         except OSError as exc:
-            raise IncrementalStateError(f"unreadable entry: {p}: {exc}") from exc
+            raise IncrementalStateError(f"unreadable entry: {raw}: {exc}") \
+                from exc
+        if stat.S_ISDIR(st.st_mode):
+            mtime = _newest_in_tree(os.fspath(raw), st.st_mtime)
+        elif stat.S_ISREG(st.st_mode):
+            mtime = st.st_mtime
+        else:
+            continue
         if newest is None or mtime > newest:
             newest = mtime
+    return newest
 
-    for raw in paths:
-        path = Path(raw)
-        if path.is_dir():
-            for dirpath, dirnames, filenames in os.walk(path):
-                dirnames[:] = [d for d in dirnames if d not in VCS_DIRS]
-                for name in filenames:
-                    consider(Path(dirpath) / name)
-        elif path.is_file():
-            consider(path)
+
+def _newest_in_tree(root: str, newest: float) -> float:
+    """``newest`` raised to every mtime below ``root``, in one scandir pass
+    (PEP 471: no per-file path objects, no stat for the file type)."""
+    pending = [root]
+    while pending:
+        try:
+            listing = os.scandir(pending.pop())
+        except OSError:
+            continue  # unlistable directories are skipped, as os.walk does
+        with listing:
+            for entry in listing:
+                try:
+                    if entry.is_dir():
+                        if entry.is_symlink() or entry.name in VCS_DIRS:
+                            continue
+                        pending.append(entry.path)
+                    mtime = entry.stat().st_mtime
+                except FileNotFoundError:
+                    continue  # broken link, or removed meanwhile
+                except OSError as exc:
+                    raise IncrementalStateError(
+                        f"unreadable entry: {entry.path}: {exc}") from exc
+                if mtime > newest:
+                    newest = mtime
     return newest
 
 

@@ -12,6 +12,7 @@ import signal
 import threading
 from dataclasses import dataclass, field
 
+from .blockpackage import run_digest_memo
 from .builders.base import StageReport
 from .errors import BuilderError, SocksError
 from .graph import ALL, Invocation, compute_active_set, order_for_command
@@ -91,32 +92,34 @@ def run(project: Project, inv: Invocation) -> RunReport:
         previous_handler = signal.signal(signal.SIGINT, _handler)
 
     try:
-        for block_id in order:
-            builder = project.builders[block_id]
-            try:
-                _in_flight += 1
+        with run_digest_memo():
+            for block_id in order:
+                builder = project.builders[block_id]
                 try:
-                    stage = builder.apply(inv.command)
-                finally:
-                    _in_flight -= 1
-            except KeyboardInterrupt:
-                log.warning("interrupted at block '%s'; files of the "
-                            "remaining blocks are preserved", block_id)
-                report.outcome = INTERRUPTED
-                report.at_block = block_id
-                return report
-            except SocksError as exc:
-                if _interrupted:
+                    _in_flight += 1
+                    try:
+                        stage = builder.apply(inv.command)
+                    finally:
+                        _in_flight -= 1
+                except KeyboardInterrupt:
+                    log.warning("interrupted at block '%s'; files of the "
+                                "remaining blocks are preserved", block_id)
                     report.outcome = INTERRUPTED
-                else:
-                    report.outcome = FAILED
-                    report.error = exc
-                report.at_block = block_id
-                return report
-            report.entries.append(stage)
-            log.info("%s %s: %s (%.2fs)", block_id, inv.command,
-                     "skipped" if stage.skipped else "done", stage.duration)
-        return report
+                    report.at_block = block_id
+                    return report
+                except SocksError as exc:
+                    if _interrupted:
+                        report.outcome = INTERRUPTED
+                    else:
+                        report.outcome = FAILED
+                        report.error = exc
+                    report.at_block = block_id
+                    return report
+                report.entries.append(stage)
+                log.info("%s %s: %s (%.2fs)", block_id, inv.command,
+                         "skipped" if stage.skipped else "done",
+                         stage.duration)
+            return report
     finally:
         if previous_handler is not None:
             signal.signal(signal.SIGINT, previous_handler)

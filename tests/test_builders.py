@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import errno
 import hashlib
+import os
+import random
 import tarfile
+import time
 from pathlib import Path
 
 import pytest
@@ -11,7 +15,7 @@ import pytest
 from socks import blockpackage as bp
 from socks import registry
 from socks.builders.base import Builder, StageReport
-from socks.errors import BuilderError
+from socks.errors import BuilderError, PackageError
 from socks.graph import ALL, Invocation
 from socks.orchestrator import run
 from socks.project import Project
@@ -214,3 +218,60 @@ def test_image_requires_filesystem_dependency(project_dir):
     from socks.errors import ValidationError
     with pytest.raises(ValidationError, match="rootfs or ramfs"):
         Project.load(project_dir / "socks.yml")
+
+
+def test_deleting_a_source_file_rebuilds(project, project_dir):
+    extra = project_dir / "src" / "atf" / "extra.txt"
+    extra.write_text("release notes\n", encoding="utf-8")
+    assert run(project, Invocation("atf", "build")).outcome == "completed"
+    time.sleep(0.05)
+    extra.unlink()
+    report = run(project, Invocation("atf", "build"))
+    assert report.entries[0].skipped is False
+    assert report.entries[0].reasons == ["timestamps"]
+
+
+def test_interrupted_package_write_is_never_trusted(project, project_dir,
+                                                    monkeypatch):
+    build_all(project)
+    output = project_dir / "temp" / "atf" / "output"
+    before = sorted(os.listdir(output))
+    time.sleep(0.05)
+    os.utime(project_dir / "src" / "atf" / "bl31.c")
+
+    def failing_copy(src, dst, length=None, *args, **kwargs):
+        dst.write(src.read(16))
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(tarfile, "copyfileobj", failing_copy)
+        failed = run(project, Invocation("atf", "build"))
+    assert failed.outcome == "failed"
+    assert isinstance(failed.error, PackageError)
+    assert sorted(os.listdir(output)) == before
+
+    retry = run(project, Invocation("atf", "build"))
+    assert retry.outcome == "completed"
+    assert retry.entries[0].skipped is False
+
+
+def test_truncated_dependency_fails_before_any_step(project, project_dir,
+                                                    recorder, tmp_path):
+    assert run(project, Invocation("devicetree", "build", group=True)) \
+        .outcome == "completed"
+    xsa = tmp_path / "system.xsa"
+    xsa.write_bytes(random.Random(3).randbytes(256 << 10))
+    pkg = bp.create_package("vivado",
+                            project_dir / "temp" / "vivado" / "output",
+                            {"system.xsa": xsa}, stamp="20990101T000000Z")
+    data = pkg.path.read_bytes()
+    pkg.path.write_bytes(data[:len(data) // 2])  # valid head, truncated tail
+    bp.open_package(pkg.path)  # the head alone looks fine
+
+    recorder.reset()
+    for _ in range(2):  # never skipped, not even on a second attempt
+        report = run(project, Invocation("devicetree", "build"))
+        assert report.outcome == "failed"
+        assert isinstance(report.error, PackageError)
+        assert report.entries == []
+    assert recorder.count("build") == 0

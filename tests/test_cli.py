@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -207,3 +210,17 @@ def test_block_help_via_main(project_dir, capsys):
     assert out.startswith("usage: socks kernel")
     verbs = re.findall(r"^    ([a-z-]+)\s", out, flags=re.M)
     assert verbs == REPO_BLOCK_VERBS
+
+
+def test_python_m_socks_cli_builds(project_dir):
+    src_root = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src_root), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "socks.cli", "-f",
+         str(project_dir / "socks.yml"), "all", "build"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "image: build done" in proc.stdout
+    assert list((project_dir / "temp" / "image" / "output")
+                .glob("bp_image_*.tar.gz"))

@@ -12,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from socks.errors import IncrementalStateError
-from socks.incremental import (ChecksumStore, ConfigSnapshot, EventLog,
-                               needs_rebuild, newest_mtime, record_stage,
-                               stage_fresh, stale_by_timestamps)
+from socks.incremental import (VCS_DIRS, ChecksumStore, ConfigSnapshot,
+                               EventLog, needs_rebuild, newest_mtime,
+                               record_stage, stage_fresh, stale_by_timestamps)
 
 
 def make_file(path: Path, mtime: float) -> Path:
@@ -27,17 +27,86 @@ def make_file(path: Path, mtime: float) -> Path:
 def test_newest_mtime_recursive(tmp_path):
     make_file(tmp_path / "a.txt", 100)
     make_file(tmp_path / "sub" / "b.txt", 200)
+    # Directory mtimes count too; push them below the files'.
+    for directory in (tmp_path / "sub", tmp_path):
+        os.utime(directory, (50, 50))
     assert newest_mtime([tmp_path]) == 200
 
 
 def test_newest_mtime_excludes_vcs_dirs(tmp_path):
     make_file(tmp_path / "a.txt", 100)
     make_file(tmp_path / ".git" / "index", 99999)
+    os.utime(tmp_path, (50, 50))  # the .git directory keeps a fresh mtime
     assert newest_mtime([tmp_path]) == 100
 
 
 def test_newest_mtime_none_when_missing(tmp_path):
     assert newest_mtime([tmp_path / "ghost"]) is None
+
+
+def reference_newest_mtime(paths: list[Path]) -> float | None:
+    """The walk rule spelled out with os.walk and os.stat: every walked
+    non-VCS directory (the root included) and every non-directory entry in
+    it count; symlinked files count with their target, broken links are
+    ignored, symlinked directories are neither entered nor counted."""
+    times = []
+    for path in paths:
+        if os.path.isdir(path):
+            for dirpath, dirnames, filenames in os.walk(path):
+                dirnames[:] = [d for d in dirnames if d not in VCS_DIRS]
+                times.append(os.stat(dirpath).st_mtime)
+                for name in filenames:
+                    entry = os.path.join(dirpath, name)
+                    if os.path.exists(entry):
+                        times.append(os.stat(entry).st_mtime)
+        elif os.path.isfile(path):
+            times.append(os.stat(path).st_mtime)
+    return max(times, default=None)
+
+
+KINDS = ("file", "dir", "file-link", "dir-link", "broken-link")
+tree_nodes = st.lists(
+    st.tuples(st.sampled_from(KINDS),
+              st.integers(0, 40),                          # parent pick
+              st.sampled_from(["n", ".git", ".hg", ".svn", "src"]),
+              st.integers(0, 40),                          # target pick
+              st.integers(1, 10 ** 9)),                    # mtime
+    max_size=25)
+
+
+@settings(max_examples=150, deadline=None)
+@given(nodes=tree_nodes, root_mtime=st.integers(1, 10 ** 9))
+def test_newest_mtime_matches_walk_reference(tmp_path_factory, nodes,
+                                             root_mtime):
+    root = tmp_path_factory.mktemp("tree")
+    dirs, files, stamps = [root], [], [(root, root_mtime)]
+    for index, (kind, parent, name, target, mtime) in enumerate(nodes):
+        parent_dir = dirs[parent % len(dirs)]
+        path = parent_dir / (name if name != "n" else f"n{index}")
+        if os.path.lexists(path):
+            continue
+        if kind == "file":
+            path.write_text("x", encoding="utf-8")
+            files.append(path)
+        elif kind == "dir":
+            path.mkdir()
+            dirs.append(path)
+        elif kind == "file-link" and files:
+            path.symlink_to(files[target % len(files)])
+        elif kind == "dir-link":
+            path.symlink_to(dirs[target % len(dirs)],
+                            target_is_directory=True)
+        elif kind == "broken-link":
+            path.symlink_to(root / f"missing{index}")
+        else:
+            continue
+        stamps.append((path, mtime))
+    # Set times last: creating an entry touches its directory.  A link gets
+    # its own time, which must never count in place of its target's.
+    for path, mtime in stamps:
+        os.utime(path, (mtime, mtime), follow_symlinks=False)
+    paths = [root, root / "absent", *files[:1]]
+    assert newest_mtime(paths) == reference_newest_mtime(paths)
 
 
 def test_stale_no_output_yet(tmp_path):

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
+import os
+
 import pytest
 
+from socks import blockpackage as bp
 from socks import orchestrator
 from socks.builders.base import StageReport
 from socks.errors import BuilderError, ValidationError
@@ -144,3 +148,29 @@ def test_command_category_lookup(project):
         == "configuring"
     assert orchestrator.command_category(project, active, "start-container") \
         == "debugging"
+
+
+def test_in_place_package_rewrite_between_runs_yields_new_digest(
+        project, project_dir, tmp_path):
+    assert run(project, BUILD_ALL).outcome == "completed"
+    (package,) = (project_dir / "temp" / "vivado" / "output").glob("bp_*")
+    old = package.read_bytes()
+    # Another valid vivado package of the same size: gzip readers skip
+    # trailing zero padding.
+    xsa = tmp_path / "system.xsa"
+    xsa.write_text("<hardware rev='2'/>\n", encoding="utf-8")
+    other = bp.create_package("vivado", tmp_path / "other",
+                              {"system.xsa": xsa}).path.read_bytes()
+    assert len(other) <= len(old)
+    new = other + bytes(len(old) - len(other))
+
+    st = package.stat()
+    with open(package, "r+b") as fh:  # same inode, same size, same mtime
+        fh.write(new)
+    os.utime(package, ns=(st.st_atime_ns, st.st_mtime_ns))
+
+    report = run(project, Invocation("devicetree", "build"))
+    assert report.outcome == "completed"
+    assert report.entries[0].reasons == ["dependency-checksum"]
+    imports = (project_dir / "temp" / "devicetree" / "imports.csv").read_text()
+    assert hashlib.sha256(new).hexdigest() in imports

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import errno
 import gzip
 import hashlib
 import io
 import os
+import random
 import tarfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from socks import blockpackage as bp
 from socks.errors import ContentRuleViolation, PackageError
@@ -18,6 +23,7 @@ from socks.errors import ContentRuleViolation, PackageError
 # independent oracle in test_canonical_digest_matches_independent_oracle.
 FROZEN_DIGEST = "ac9e9cfc20041546fdcd57f5764bdab2113c0c193709ab4e058be22bbaf4f135"
 FIXED_STAMP = "20260101T000000Z"
+MiB = 1 << 20
 
 
 def stage_files(tmp_path: Path) -> dict[str, Path]:
@@ -213,3 +219,97 @@ def test_executable_mode_preserved(tmp_path):
         assert member.mode == 0o755
         assert member.mtime == 0
         assert member.uid == 0
+
+
+def in_memory_archive_bytes(files: dict[str, Path]) -> bytes:
+    """Reference: the earlier create_package body, which built the whole tar
+    in memory and compressed it in one call."""
+    buf = io.BytesIO()
+    with tarfile.open(fileobj=buf, mode="w") as tar:
+        for name, src in sorted(files.items()):
+            info = tarfile.TarInfo(name=name)
+            data = src.read_bytes()
+            info.size = len(data)
+            info.mtime = 0
+            info.uid = info.gid = 0
+            info.uname = info.gname = ""
+            info.mode = 0o755 if src.stat().st_mode & 0o111 else 0o644
+            tar.addfile(info, io.BytesIO(data))
+    out = io.BytesIO()
+    with gzip.GzipFile(filename="", fileobj=out, mode="wb", mtime=0) as gz:
+        gz.write(buf.getvalue())
+    return out.getvalue()
+
+
+member_specs = st.dictionaries(
+    keys=st.sampled_from(["a.bin", "b/c.txt", "boot/Image", "rootfs.img",
+                          "x"]),
+    values=st.tuples(st.integers(0, 300_000),      # size
+                     st.integers(0, 2 ** 32),       # content seed
+                     st.booleans()),                # executable
+    min_size=1, max_size=4)
+
+
+@settings(max_examples=25, deadline=None)
+@given(specs=member_specs)
+def test_streamed_archive_is_byte_identical_to_in_memory(tmp_path_factory,
+                                                         specs):
+    root = tmp_path_factory.mktemp("pkg")
+    files = {}
+    for index, (name, (size, seed, executable)) in enumerate(specs.items()):
+        rng = random.Random(seed)
+        # Half random, half repetitive, so deflate sees both kinds of input.
+        data = rng.randbytes(size // 2) + bytes(size - size // 2)
+        src = root / f"src{index}"
+        src.write_bytes(data)
+        os.chmod(src, 0o755 if executable else 0o644)
+        files[name] = src
+    pkg = bp.create_package("demo", root / "out", files, stamp=FIXED_STAMP)
+    expected = in_memory_archive_bytes(files)
+    assert pkg.path.read_bytes() == expected
+    assert pkg.digest == hashlib.sha256(expected).hexdigest()
+    assert pkg.entries == tuple(sorted(files))
+
+
+def test_packaging_memory_does_not_grow_with_artifact_size(tmp_path):
+    artifact = tmp_path / "rootfs.img"
+    with open(artifact, "wb") as fh:
+        fh.truncate(64 * MiB)
+    tracemalloc.start()
+    try:
+        bp.create_package("demo", tmp_path / "out", {"rootfs.img": artifact},
+                          stamp=FIXED_STAMP)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * MiB, f"peak {peak / MiB:.1f} MiB"
+
+
+def failing_copy(src, dst, length=None, *args, **kwargs):
+    """Stand-in for tarfile's member copy that dies partway (disk full)."""
+    dst.write(src.read(16))
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_failed_write_publishes_nothing(tmp_path, monkeypatch):
+    monkeypatch.setattr(tarfile, "copyfileobj", failing_copy)
+    out = tmp_path / "out"
+    with pytest.raises(PackageError, match="No space left"):
+        bp.create_package("demo", out, stage_files(tmp_path),
+                          stamp=FIXED_STAMP)
+    assert list(out.iterdir()) == []  # neither a package nor a partial file
+
+
+def test_open_reads_only_the_head(tmp_path):
+    big = tmp_path / "system.xsa"
+    big.write_bytes(random.Random(7).randbytes(256 << 10))
+    pkg = bp.create_package("demo", tmp_path / "out", {"system.xsa": big},
+                            stamp=FIXED_STAMP)
+    data = pkg.path.read_bytes()
+    pkg.path.write_bytes(data[:len(data) // 2])  # valid head, truncated tail
+    opened = bp.open_package(pkg.path)
+    assert opened.digest == hashlib.sha256(data[:len(data) // 2]).hexdigest()
+    with pytest.raises(PackageError, match="corrupt"):
+        opened.entries
+    with pytest.raises(PackageError):
+        bp.require_contents(opened, bp.ContentRule("demo", ("*.xsa",)))
