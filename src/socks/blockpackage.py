@@ -4,20 +4,25 @@ A block package is a gzip-compressed tar named ``bp_<blockid>_<stamp>.tar.gz``
 carrying one block's build artifacts.  Archives are canonicalized (sorted
 members, zeroed timestamps and ownership) so identical content always yields
 an identical digest, which the incremental layer uses to skip re-imports.
+The gzip stream is compressed in fixed chunks on a thread pool; its bytes
+depend only on the content, never on the number of threads.
 """
 
 from __future__ import annotations
 
 import fnmatch
 import glob as globlib
-import gzip
 import hashlib
 import os
 import re
 import shutil
+import struct
 import tarfile
 import urllib.error
 import urllib.request
+import zlib
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -79,7 +84,7 @@ def make_stamp(now: datetime | None = None) -> str:
 
 
 def archive_digest(path: str | Path) -> str:
-    """SHA-256 over the compressed archive bytes."""
+    """SHA-256 of a file (an archive's compressed bytes), read in chunks."""
     sha = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
@@ -131,6 +136,127 @@ class _HashingWriter:
         return self.raw.write(data)
 
 
+# Tar bytes per compressed chunk.  Each chunk in flight holds its input and
+# output, and each worker thread a level-9 deflate state (~260 KiB), so the
+# chunk size and the worker count bound the memory that packing adds.
+CHUNK_SIZE = 64 << 10
+_WINDOW = 32 << 10                 # deflate's window: each chunk's dictionary
+# Input slice per zlib call: each call's output then fits zlib's first 32 KiB
+# output buffer, instead of growing into larger buffers that are joined.
+_FEED = 16 << 10
+# What gzip.GzipFile(filename="", mtime=0) writes at level 9: no file name
+# and no timestamp, so identical content hashes alike in every build; XFL=2
+# (best compression), OS=255 (unknown).
+_GZIP_HEADER = b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x02\xff"
+
+
+def _deflate(data, zdict, last: bool) -> list[bytes]:
+    """Raw level-9 deflate of one chunk, primed with the preceding window.
+
+    A sync flush ends every chunk but the last, so the chunks concatenate
+    into one deflate stream.  zlib releases the GIL while it works.
+    """
+    args = (9, zlib.DEFLATED, -zlib.MAX_WBITS, zlib.DEF_MEM_LEVEL,
+            zlib.Z_DEFAULT_STRATEGY)
+    comp = zlib.compressobj(*args) if zdict is None \
+        else zlib.compressobj(*args, zdict)
+    view = memoryview(data)
+    pieces = [comp.compress(view[i:i + _FEED])
+              for i in range(0, len(view), _FEED)]
+    pieces.append(comp.flush(zlib.Z_FINISH if last else zlib.Z_SYNC_FLUSH))
+    return pieces
+
+
+class _ChunkedGzipWriter:
+    """Write-only gzip stream that deflates fixed-size chunks in parallel.
+
+    The scheme of pigz: each ``CHUNK_SIZE`` piece of input is deflated on its
+    own, primed with the 32 KiB before it, and the results are written in
+    order.  The output is one ordinary gzip member whose bytes depend only on
+    the input; a stream of one chunk is byte-identical to ``gzip.GzipFile``
+    at level 9.  The pool starts with the second chunk, and at most
+    ``workers + 1`` chunks are in flight, so a worker that finishes finds
+    the next chunk already queued.
+    """
+
+    def __init__(self, sink, workers: int):
+        self.sink = sink
+        self.workers = workers
+        self.chunk = bytearray(CHUNK_SIZE)
+        self.filled = 0
+        self.zdict: bytes | None = None
+        self.crc = 0
+        self.size = 0
+        self.pool: ThreadPoolExecutor | None = None
+        self.inflight: deque = deque()
+        sink.write(_GZIP_HEADER)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, *exc) -> None:
+        try:
+            if exc_type is None:
+                self._finish()
+        finally:
+            if self.pool is not None:
+                # Queued chunks are dropped; only running ones are awaited.
+                self.pool.shutdown(cancel_futures=True)
+
+    def _put(self, pieces: list[bytes]) -> None:
+        for piece in pieces:
+            self.sink.write(piece)
+
+    def tell(self) -> int:
+        """Uncompressed position; tarfile asks for it when it opens."""
+        return self.size + self.filled
+
+    def write(self, data) -> int:
+        view = memoryview(data)
+        while view:
+            # A full chunk is sent only once more input follows it, so the
+            # last chunk is always the one finished at close.
+            if self.filled == CHUNK_SIZE:
+                self._send()
+            n = min(len(view), CHUNK_SIZE - self.filled)
+            self.chunk[self.filled:self.filled + n] = view[:n]
+            self.filled += n
+            view = view[n:]
+        return len(data)
+
+    def _account(self, data) -> bytes | None:
+        """Add ``data`` to the trailer sums; return the dictionary for it."""
+        self.crc = zlib.crc32(data, self.crc)
+        self.size += len(data)
+        # A copy, so a chunk's buffer is freed once its own deflate is done.
+        zdict, self.zdict = self.zdict, bytes(data[-_WINDOW:])
+        return zdict
+
+    def _send(self) -> None:
+        chunk, self.chunk, self.filled = self.chunk, bytearray(CHUNK_SIZE), 0
+        zdict = self._account(chunk)
+        # The first chunk is deflated here: a stream of two chunks, whose
+        # last one is deflated here too, then starts no threads.
+        if self.workers < 2 or zdict is None:
+            self._put(_deflate(chunk, zdict, False))
+            return
+        if self.pool is None:
+            self.pool = ThreadPoolExecutor(self.workers,
+                                           thread_name_prefix="deflate")
+        self.inflight.append(self.pool.submit(_deflate, chunk, zdict, False))
+        if len(self.inflight) > self.workers:
+            self._put(self.inflight.popleft().result())
+
+    def _finish(self) -> None:
+        tail = memoryview(self.chunk)[:self.filled]
+        # The final chunk is deflated here while the pool drains.
+        last = _deflate(tail, self._account(tail), True)
+        while self.inflight:
+            self._put(self.inflight.popleft().result())
+        self._put(last)
+        self.sink.write(struct.pack("<II", self.crc, self.size & 0xFFFFFFFF))
+
+
 def _check_member_path(name: str) -> None:
     if name.startswith("/") or name.startswith("\\"):
         raise PackageError(f"absolute member path not allowed: {name}")
@@ -139,14 +265,25 @@ def _check_member_path(name: str) -> None:
         raise PackageError(f"path escape in archive member: {name}")
 
 
+def _package_filter(member: tarfile.TarInfo, dest: str) -> tarfile.TarInfo:
+    """Extraction filter: block packages carry plain files inside ``dest``."""
+    _check_member_path(member.name)
+    if member.islnk() or member.issym():
+        raise PackageError(
+            f"links not allowed in block packages: {member.name}")
+    return tarfile.data_filter(member, dest)
+
+
 def create_package(block_id: str, output_dir: str | Path,
                    files: dict[str, Path] | list[tuple[str, Path]],
-                   stamp: str | None = None) -> BlockPackage:
+                   stamp: str | None = None,
+                   workers: int = 1) -> BlockPackage:
     """Write a canonical package of ``files`` (archive name -> source path).
 
     Identical content produces an identical digest regardless of when or in
-    which order the files were staged.  Artifacts are streamed, so memory use
-    does not grow with their size.
+    which order the files were staged, and of ``workers``, the number of
+    compression threads.  Artifacts are streamed, so memory use does not
+    grow with their size.
     """
     items = sorted(dict(files).items())
     if not items:
@@ -163,13 +300,16 @@ def create_package(block_id: str, output_dir: str | Path,
     # rename, so an interrupted write never leaves a truncated package that
     # the timestamp check would trust.
     partial = output_dir / f".{archive_path.name}.partial"
+    # Partial files of this block left by a killed run.
+    stale = re.compile(
+        rf"\.bp_{re.escape(block_id)}_[0-9TZ:-]+\.tar\.gz\.partial")
+    for leftover in output_dir.glob(f".bp_{block_id}_*.partial"):
+        if stale.fullmatch(leftover.name):
+            leftover.unlink(missing_ok=True)
     try:
         with open(partial, "wb") as raw:
             sink = _HashingWriter(raw)
-            # filename="" keeps the stamped file name out of the gzip header,
-            # otherwise identical content would hash differently per build.
-            with gzip.GzipFile(filename="", fileobj=sink, mode="wb",
-                               mtime=0) as gz, \
+            with _ChunkedGzipWriter(sink, workers) as gz, \
                     tarfile.open(fileobj=gz, mode="w") as tar:
                 for name, src in items:
                     _add_member(tar, block_id, name, Path(src))
@@ -295,27 +435,35 @@ def require_contents(pkg: BlockPackage, rule: ContentRule) -> None:
 
 def import_package(pkg: BlockPackage, dest_dir: str | Path,
                    checksum_store=None) -> dict:
-    """Extract a package, once per digest.
+    """Extract a package, once per digest, replacing ``dest_dir`` whole.
 
     When ``checksum_store`` already knows the digest the extraction is
-    skipped and the filesystem stays untouched.
+    skipped and the filesystem stays untouched.  The archive is read in one
+    forward pass into a hidden sibling directory that replaces ``dest_dir``
+    only once every member passed, so files an older package carried do not
+    survive and a rejected archive leaves ``dest_dir`` as it was.
     """
     dest_dir = Path(dest_dir)
     if checksum_store is not None and checksum_store.seen(pkg.digest):
         return {"imported": False, "digest": pkg.digest}
+    staging = dest_dir.with_name(f".{dest_dir.name}.partial")
     try:
-        with tarfile.open(pkg.path, "r:gz") as tar:
-            for member in tar.getmembers():
-                _check_member_path(member.name)
-                if member.islnk() or member.issym():
-                    raise PackageError(
-                        f"links not allowed in block packages: {member.name}")
-            dest_dir.mkdir(parents=True, exist_ok=True)
-            tar.extractall(dest_dir)
-    except (tarfile.TarError, OSError, EOFError) as exc:
-        if isinstance(exc, PackageError):
-            raise
-        raise PackageError(f"extraction failed for {pkg.path}: {exc}") from exc
+        shutil.rmtree(staging, ignore_errors=True)
+        staging.mkdir(parents=True)
+        # 64 KiB copies take a quarter of the calls of tarfile's default.
+        with tarfile.open(pkg.path, "r:gz", copybufsize=64 << 10) as tar:
+            tar.extractall(staging, filter=_package_filter)
+            # Extraction read every header: listing the members costs nothing.
+            entries = tuple(m.name for m in tar.getmembers() if m.isfile())
+        shutil.rmtree(dest_dir, ignore_errors=True)
+        os.replace(staging, dest_dir)
+    except BaseException as exc:
+        shutil.rmtree(staging, ignore_errors=True)
+        if isinstance(exc, (tarfile.TarError, OSError, EOFError)):
+            raise PackageError(
+                f"extraction failed for {pkg.path}: {exc}") from exc
+        raise
+    vars(pkg)["entries"] = entries
     if checksum_store is not None:
         checksum_store.record(pkg.digest)
     return {"imported": True, "digest": pkg.digest}

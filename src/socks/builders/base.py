@@ -227,7 +227,8 @@ class Builder:
                            reasons=["dependency-checksum"])
 
     def finish_build(self, files: dict[str, Path]) -> bp.BlockPackage:
-        package = bp.create_package(self.block_id, self.output_dir, files)
+        package = bp.create_package(self.block_id, self.output_dir, files,
+                                    workers=self.general.effective_threads())
         self.event_log.record("build")
         self.snapshot.save(self.section_text)
         return package

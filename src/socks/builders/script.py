@@ -8,12 +8,12 @@ user-provided binary packages into the produced file-system artifact.
 
 from __future__ import annotations
 
-import hashlib
 import shutil
 import urllib.request
 from pathlib import Path
 from urllib.parse import urlparse
 
+from .. import blockpackage as bp
 from ..errors import BuilderError
 from ..registry import BuilderDescriptor, CommandDescriptor
 from ..validation import BlockProjectModel, ContentRuleModel
@@ -144,7 +144,7 @@ class RootfsBuilder(ScriptBuilder):
         lines = []
         for ref in self.extra_package_refs():
             payload = self._fetch_extra(ref)
-            digest = hashlib.sha256(payload.read_bytes()).hexdigest()
+            digest = bp.archive_digest(payload)
             lines.append(f"{payload.name} sha256={digest}")
         (self.stage_dir / self.PACKAGES_FILE).write_text(
             "".join(line + "\n" for line in lines), encoding="utf-8")

@@ -255,6 +255,35 @@ def test_interrupted_package_write_is_never_trusted(project, project_dir,
     assert retry.entries[0].skipped is False
 
 
+def test_stale_partial_file_is_removed_and_never_resolved(
+        project, project_dir, monkeypatch):
+    output = project_dir / "temp" / "vivado" / "output"
+    output.mkdir(parents=True)
+    # What a SIGKILL during packaging leaves behind, stamped newer than any
+    # real package so a glob that matched it would pick it.
+    stale = output / ".bp_vivado_20991231T235959Z.tar.gz.partial"
+    stale.write_bytes(b"\x1f\x8b truncated")
+    seen = []
+    real_resolve = bp.resolve_dependency
+    real_existing = Builder.existing_packages
+
+    def resolve(*args, **kwargs):
+        seen.append(real_resolve(*args, **kwargs))
+        return seen[-1]
+
+    def existing(self):
+        found = real_existing(self)
+        seen.extend(found)
+        return found
+
+    monkeypatch.setattr(bp, "resolve_dependency", resolve)
+    monkeypatch.setattr(Builder, "existing_packages", existing)
+    build_all(project)
+    assert not stale.exists()
+    assert newest_package(project_dir, "vivado") in seen
+    assert all(bp.PACKAGE_NAME_RE.match(path.name) for path in seen)
+
+
 def test_truncated_dependency_fails_before_any_step(project, project_dir,
                                                     recorder, tmp_path):
     assert run(project, Invocation("devicetree", "build", group=True)) \

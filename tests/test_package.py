@@ -8,12 +8,17 @@ import hashlib
 import io
 import os
 import random
+import signal
+import struct
 import tarfile
+import threading
+import time
 import tracemalloc
+import zlib
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from socks import blockpackage as bp
@@ -184,26 +189,45 @@ def test_import_extracts_once_per_digest(tmp_path):
     assert not (dest / "a.txt").exists()  # skip leaves the filesystem alone
 
 
+def add_bytes(tar: tarfile.TarFile, name: str, data: bytes) -> None:
+    info = tarfile.TarInfo(name)
+    info.size = len(data)
+    tar.addfile(info, io.BytesIO(data))
+
+
 def test_import_rejects_links_and_escapes(tmp_path):
+    good = bp.create_package("demo", tmp_path / "out", stage_files(tmp_path),
+                             stamp=FIXED_STAMP)
+    dest = tmp_path / "deps" / "demo"
+    bp.import_package(good, dest)
+
+    # Each bad member follows a good one that extraction reaches first.  The
+    # messages are matched in full: the temporary path holds the test name.
+    # The link stays inside the destination, which tarfile's data filter
+    # allows: block packages carry no links at all.
     evil = tmp_path / "bp_demo_20260101T000000Z.tar.gz"
     with tarfile.open(evil, "w:gz") as tar:
+        add_bytes(tar, "a.txt", b"replaced")
         info = tarfile.TarInfo("link")
         info.type = tarfile.SYMTYPE
-        info.linkname = "/etc/passwd"
+        info.linkname = "a.txt"
         tar.addfile(info)
     pkg = bp.open_package(evil)
-    with pytest.raises(PackageError, match="links"):
-        bp.import_package(pkg, tmp_path / "deps")
+    with pytest.raises(PackageError, match="links not allowed"):
+        bp.import_package(pkg, dest)
 
     evil2 = tmp_path / "bp_demo_20260101T000001Z.tar.gz"
     with tarfile.open(evil2, "w:gz") as tar:
-        info = tarfile.TarInfo("../up.txt")
-        data = b"x"
-        info.size = len(data)
-        tar.addfile(info, io.BytesIO(data))
+        add_bytes(tar, "a.txt", b"replaced")
+        add_bytes(tar, "../up.txt", b"x")
     pkg2 = bp.open_package(evil2)
-    with pytest.raises(PackageError, match="escape"):
-        bp.import_package(pkg2, tmp_path / "deps")
+    with pytest.raises(PackageError, match="path escape"):
+        bp.import_package(pkg2, dest)
+
+    # A rejected archive leaves the previous extraction as it was.
+    assert (dest / "a.txt").read_bytes() == b"alpha\n"
+    assert (dest / "b" / "c.txt").read_bytes() == b"beta\n"
+    assert os.listdir(tmp_path / "deps") == ["demo"]
 
 
 def test_executable_mode_preserved(tmp_path):
@@ -221,9 +245,9 @@ def test_executable_mode_preserved(tmp_path):
         assert member.uid == 0
 
 
-def in_memory_archive_bytes(files: dict[str, Path]) -> bytes:
-    """Reference: the earlier create_package body, which built the whole tar
-    in memory and compressed it in one call."""
+def in_memory_tar_bytes(files: dict[str, Path]) -> bytes:
+    """Reference: the tar stream of the earlier create_package body, which
+    built the whole tar in memory before compressing it."""
     buf = io.BytesIO()
     with tarfile.open(fileobj=buf, mode="w") as tar:
         for name, src in sorted(files.items()):
@@ -235,10 +259,33 @@ def in_memory_archive_bytes(files: dict[str, Path]) -> bytes:
             info.uname = info.gname = ""
             info.mode = 0o755 if src.stat().st_mode & 0o111 else 0o644
             tar.addfile(info, io.BytesIO(data))
-    out = io.BytesIO()
-    with gzip.GzipFile(filename="", fileobj=out, mode="wb", mtime=0) as gz:
-        gz.write(buf.getvalue())
-    return out.getvalue()
+    return buf.getvalue()
+
+
+# The package format's chunk size: changing it changes the digest of every
+# package larger than one chunk.
+CHUNK = 64 << 10
+
+
+def chunked_gzip_reference(data: bytes) -> bytes:
+    """Sequential reference of the chunked encoding: every 64 KiB chunk is
+    raw level-9 deflate primed with the 32 KiB of input before it, ended by a
+    sync flush (the last one finished), between a gzip header without name
+    or time and a CRC32/size trailer."""
+    header = b"\x1f\x8b\x08\x00" + bytes(4) + b"\x02\xff"
+    body = []
+    starts = range(0, len(data), CHUNK)
+    for start in starts:
+        if start:
+            comp = zlib.compressobj(9, zlib.DEFLATED, -15, 8, 0,
+                                    zdict=data[start - (32 << 10):start])
+        else:
+            comp = zlib.compressobj(9, zlib.DEFLATED, -15, 8, 0)
+        last = start == starts[-1]
+        body.append(comp.compress(data[start:start + CHUNK]))
+        body.append(comp.flush(zlib.Z_FINISH if last else zlib.Z_SYNC_FLUSH))
+    trailer = struct.pack("<II", zlib.crc32(data), len(data) & 0xFFFFFFFF)
+    return header + b"".join(body) + trailer
 
 
 member_specs = st.dictionaries(
@@ -250,6 +297,12 @@ member_specs = st.dictionaries(
     min_size=1, max_size=4)
 
 
+# Tar streams are padded to 10 KiB records, so five chunks is the shortest
+# one that ends on a chunk boundary (512-byte header, 326144 data bytes,
+# 1 KiB end marker): its last chunk is full and must still be the one
+# finished.  The second example adds one record beyond it.
+@example(specs={"rootfs.img": (5 * CHUNK - 1536, 0, False)})
+@example(specs={"rootfs.img": (5 * CHUNK - 1024, 0, False)})
 @settings(max_examples=25, deadline=None)
 @given(specs=member_specs)
 def test_streamed_archive_is_byte_identical_to_in_memory(tmp_path_factory,
@@ -264,11 +317,20 @@ def test_streamed_archive_is_byte_identical_to_in_memory(tmp_path_factory,
         src.write_bytes(data)
         os.chmod(src, 0o755 if executable else 0o644)
         files[name] = src
-    pkg = bp.create_package("demo", root / "out", files, stamp=FIXED_STAMP)
-    expected = in_memory_archive_bytes(files)
-    assert pkg.path.read_bytes() == expected
-    assert pkg.digest == hashlib.sha256(expected).hexdigest()
-    assert pkg.entries == tuple(sorted(files))
+    # The package holds the old writer's tar bytes in the chunked encoding,
+    # with the same bytes for one and for four threads.
+    single = bp.create_package("demo", root / "out1", files,
+                               stamp=FIXED_STAMP, workers=1)
+    pooled = bp.create_package("demo", root / "out4", files,
+                               stamp=FIXED_STAMP, workers=4)
+    archive = single.path.read_bytes()
+    tar = in_memory_tar_bytes(files)
+    assert gzip.decompress(archive) == tar
+    assert archive == chunked_gzip_reference(tar)
+    assert pooled.path.read_bytes() == archive
+    assert single.digest == pooled.digest == \
+        hashlib.sha256(archive).hexdigest()
+    assert single.entries == pooled.entries == tuple(sorted(files))
 
 
 def test_packaging_memory_does_not_grow_with_artifact_size(tmp_path):
@@ -278,7 +340,7 @@ def test_packaging_memory_does_not_grow_with_artifact_size(tmp_path):
     tracemalloc.start()
     try:
         bp.create_package("demo", tmp_path / "out", {"rootfs.img": artifact},
-                          stamp=FIXED_STAMP)
+                          stamp=FIXED_STAMP, workers=4)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -300,6 +362,18 @@ def test_failed_write_publishes_nothing(tmp_path, monkeypatch):
     assert list(out.iterdir()) == []  # neither a package nor a partial file
 
 
+def test_stale_partial_files_of_the_block_are_removed(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    own = out / ".bp_demo_20250101T000000Z.tar.gz.partial"
+    other = out / ".bp_demo_x_20250101T000000Z.tar.gz.partial"
+    own.write_bytes(b"left by a killed run")
+    other.write_bytes(b"another block's")
+    bp.create_package("demo", out, stage_files(tmp_path), stamp=FIXED_STAMP)
+    assert not own.exists()
+    assert other.exists()
+
+
 def test_open_reads_only_the_head(tmp_path):
     big = tmp_path / "system.xsa"
     big.write_bytes(random.Random(7).randbytes(256 << 10))
@@ -313,3 +387,72 @@ def test_open_reads_only_the_head(tmp_path):
         opened.entries
     with pytest.raises(PackageError):
         bp.require_contents(opened, bp.ContentRule("demo", ("*.xsa",)))
+
+
+def test_interrupt_with_chunks_in_flight_publishes_nothing(tmp_path,
+                                                          monkeypatch):
+    """Ctrl-C while packaging waits on busy workers: the queued chunk is
+    dropped, the running ones finish, and nothing is published."""
+    artifact = tmp_path / "rootfs.img"
+    artifact.write_bytes(random.Random(11).randbytes(8 * CHUNK))
+    out = tmp_path / "out"
+    busy = threading.Semaphore(0)
+    release = threading.Event()
+    deflated = []
+    real_deflate = bp._deflate
+
+    def gated_deflate(data, zdict, last):
+        if threading.current_thread() is not threading.main_thread():
+            busy.release()
+            release.wait(10)
+        deflated.append(last)
+        return real_deflate(data, zdict, last)
+
+    def interrupt():
+        for _ in range(2):  # both workers hold a chunk; a third is queued
+            busy.acquire(timeout=10)
+        time.sleep(0.1)     # and packaging waits for the oldest
+        signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+        time.sleep(1)
+        release.set()
+
+    monkeypatch.setattr(bp, "_deflate", gated_deflate)
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    helper = threading.Thread(target=interrupt)
+    helper.start()
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            bp.create_package("demo", out, {"rootfs.img": artifact},
+                              stamp=FIXED_STAMP, workers=2)
+    finally:
+        release.set()
+        helper.join(timeout=10)
+        signal.signal(signal.SIGINT, previous)
+    assert not helper.is_alive()
+    # The first chunk here, two on the workers; the queued one never ran.
+    assert len(deflated) == 3
+    assert list(out.iterdir()) == []  # neither a package nor a partial file
+    assert not [t for t in threading.enumerate()
+                if t.name.startswith("deflate")]
+
+
+def test_import_replaces_files_of_an_older_package(tmp_path):
+    stage = tmp_path / "stage"
+    stage.mkdir()
+    (stage / "a").write_bytes(b"a1")
+    (stage / "b").write_bytes(b"b1")
+    old = bp.create_package("demo", tmp_path / "out",
+                            {"a": stage / "a", "b": stage / "b"},
+                            stamp="20260101T000000Z")
+    (stage / "a").write_bytes(b"a2")
+    new = bp.create_package("demo", tmp_path / "out", {"a": stage / "a"},
+                            stamp="20260101T000001Z")
+    dest = tmp_path / "deps" / "demo"
+    bp.import_package(bp.open_package(old.path), dest)
+    assert sorted(os.listdir(dest)) == ["a", "b"]
+    fresh = bp.open_package(new.path)
+    bp.import_package(fresh, dest)
+    assert sorted(os.listdir(dest)) == ["a"]  # b went with its package
+    assert (dest / "a").read_bytes() == b"a2"
+    assert os.listdir(tmp_path / "deps") == ["demo"]  # no staging left
+    assert vars(fresh)["entries"] == ("a",)  # seeded, not read again
