@@ -18,7 +18,6 @@ import re
 import shutil
 import struct
 import tarfile
-import urllib.error
 import urllib.request
 import zlib
 from collections import deque
@@ -34,6 +33,14 @@ from .errors import ContentRuleViolation, PackageError
 
 PACKAGE_NAME_RE = re.compile(r"^bp_[a-z0-9_]+_[0-9TZ:-]+\.tar\.gz$")
 STAMP_FORMAT = "%Y%m%dT%H%M%SZ"
+# Seconds any one socket operation of a fetch (connect, or a read) may take:
+# a stalled server then ends in an error instead of a hang.
+FETCH_TIMEOUT_S = 60.0
+
+
+def is_url(ref: str) -> bool:
+    """True for references that are fetched (``_download``), not globbed."""
+    return urlparse(ref).scheme in ("http", "https", "file")
 
 
 @dataclass(frozen=True)
@@ -74,8 +81,7 @@ class DependencyRef:
 
     @property
     def kind(self) -> str:
-        return "url" if urlparse(self.raw).scheme in ("http", "https", "file") \
-            else "local-glob"
+        return "url" if is_url(self.raw) else "local-glob"
 
 
 def make_stamp(now: datetime | None = None) -> str:
@@ -389,6 +395,8 @@ def resolve_dependency(ref: DependencyRef, project_dir: str | Path,
 
 
 def _download(url: str, dest_dir: Path, credentials: dict | None) -> Path:
+    """Fetch ``url`` into ``dest_dir`` with one GET; basic-auth credentials
+    are looked up by host name."""
     parsed = urlparse(url)
     dest_dir.mkdir(parents=True, exist_ok=True)
     name = Path(parsed.path).name or "download.tar.gz"
@@ -403,9 +411,10 @@ def _download(url: str, dest_dir: Path, credentials: dict | None) -> Path:
             ).decode("ascii")
             request.add_header("Authorization", f"Basic {token}")
     try:
-        with urllib.request.urlopen(request) as resp, open(dest, "wb") as out:
+        with urllib.request.urlopen(request, timeout=FETCH_TIMEOUT_S) as resp, \
+                open(dest, "wb") as out:
             shutil.copyfileobj(resp, out)
-    except urllib.error.URLError as exc:
+    except OSError as exc:
         raise PackageError(f"download failed for {url}: {exc}") from exc
     return dest
 

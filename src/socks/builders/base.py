@@ -23,11 +23,11 @@ from pathlib import Path
 
 from .. import blockpackage as bp
 from ..configtree import ConfigTree
-from ..environment import EnvironmentManager, execute_host, make_env_spec
+from ..environment import EnvironmentManager, make_env_spec
 from ..errors import BuilderError
 from ..incremental import (ChecksumStore, ConfigSnapshot, EventLog,
                            needs_rebuild)
-from ..registry import BuilderDescriptor
+from ..registry import BuilderDescriptor, CommandDescriptor
 from ..validation import BlockSpec, GeneralSettings
 
 
@@ -107,17 +107,16 @@ class Builder:
         return EnvironmentManager(spec, self.general.effective_threads(),
                                   self.event_log)
 
+    @property
+    def credentials(self) -> dict:
+        """Per-host credentials for fetching URLs (``credentials`` key)."""
+        return self.context.tree.get("credentials", {}) \
+            if self.context.tree else {}
+
     # -- command dispatch --------------------------------------------------
 
-    def verbs(self) -> list[str]:
-        return self.descriptor.verbs()
-
     def apply(self, verb: str) -> StageReport:
-        if verb not in self.verbs():
-            raise BuilderError(
-                f"command '{verb}' is not supported by this builder "
-                f"({self.descriptor.name}); supported: "
-                f"{', '.join(self.verbs())}")
+        self.descriptor.require_command(verb, self.block_id)
         method = getattr(self, "cmd_" + verb.replace("-", "_"), None)
         if method is None:
             raise BuilderError(
@@ -129,29 +128,19 @@ class Builder:
             report.duration = time.monotonic() - start
         return report
 
-    def execute_host(self, cmd: str, **kw):
-        return execute_host(cmd, **kw)
-
-    def execute_build(self, cmd: str, *, env: dict | None = None,
-                      check: bool = True):
-        self.work_dir.mkdir(parents=True, exist_ok=True)
-        return self.env.run(cmd, workdir=self.work_dir, env=env, check=check)
-
     # -- shared building blocks -------------------------------------------
 
     def existing_packages(self) -> list[Path]:
         return sorted(self.output_dir.glob("*.tar.gz"))
 
     def resolve_dependencies(self) -> dict[str, bp.BlockPackage]:
-        credentials = self.context.tree.get("credentials", {}) \
-            if self.context.tree else {}
         resolved = {}
         for dep_id in sorted(self.spec.dependencies):
             ref = bp.DependencyRef(self.spec.dependencies[dep_id])
             try:
                 archive = bp.resolve_dependency(
                     ref, self.project_dir, download_dir=self.imports_dir,
-                    credentials=credentials)
+                    credentials=self.credentials)
             except bp.PackageError as exc:
                 raise BuilderError(
                     f"block '{self.block_id}' cannot resolve dependency "
@@ -209,7 +198,7 @@ class Builder:
                 f"no import_src")
         archive = bp.resolve_dependency(
             bp.DependencyRef(src), self.project_dir,
-            download_dir=self.imports_dir)
+            download_dir=self.imports_dir, credentials=self.credentials)
         package = bp.open_package(archive, emitter=self.block_id)
         published = self.output_dir / archive.name
         if self.checksum_store.seen(package.digest) and published.exists() \
@@ -249,3 +238,15 @@ class Builder:
         status = self.env.interactive_session(self.work_dir)
         return StageReport(self.block_id, "start-container",
                            exit_status=status)
+
+
+# Command descriptors shared by the built-in builders.
+PREPARE = CommandDescriptor(
+    "prepare", "building", "Performs all the preparatory steps to prepare "
+    "this block for building, but does not build it.")
+BUILD = CommandDescriptor("build", "building", "Builds this block.")
+CLEAN = CommandDescriptor("clean", "cleaning",
+                          "Deletes all generated files of this block.")
+START_CONTAINER = CommandDescriptor(
+    "start-container", "debugging",
+    "Starts the container image of this block in an interactive session.")

@@ -8,11 +8,12 @@ consumed package changes the manifest.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 from pydantic import model_validator
 
-from ..registry import BuilderDescriptor, CommandDescriptor
-from .base import StageReport
-from .script import ScriptBuilder, ScriptProjectModel
+from ..registry import BuilderDescriptor
+from .script import SCRIPT_COMMANDS, ScriptBuilder, ScriptProjectModel
 
 FILESYSTEM_BLOCKS = {"rootfs", "ramfs"}
 
@@ -29,20 +30,11 @@ class ImageProjectModel(ScriptProjectModel):
 
 
 class ImageBuilder(ScriptBuilder):
+    """Script builder that writes the manifest of its dependencies."""
 
     IMAGE_FILE = "boot.img"
 
-    def cmd_build(self) -> StageReport:
-        if self.spec.source_mode == "import":
-            return self.run_import()
-        packages = self.resolve_dependencies()
-        decision = self.rebuild_decision(
-            sources=[p.path for p in packages.values()], packages=packages)
-        if not decision.rebuild:
-            return StageReport(self.block_id, "build", skipped=True)
-        self.validate_dependency_contents(packages)
-        self.env.ensure_image()
-        self.prepare_workspace(packages)
+    def stage_extras(self, packages) -> None:
         lines = []
         for dep_id in sorted(packages):
             pkg = packages[dep_id]
@@ -50,11 +42,11 @@ class ImageBuilder(ScriptBuilder):
             lines.append(f"block={dep_id} digest={pkg.digest} files={files}")
         (self.stage_dir / self.IMAGE_FILE).write_text(
             "".join(line + "\n" for line in lines), encoding="utf-8")
-        package = self.finish_build(
-            {self.IMAGE_FILE: self.stage_dir / self.IMAGE_FILE})
-        return StageReport(self.block_id, "build",
-                           artifacts=[package.path.name],
-                           reasons=decision.reasons)
+
+    def collect_outputs(self) -> dict[str, Path]:
+        files = super().collect_outputs()
+        files[self.IMAGE_FILE] = self.stage_dir / self.IMAGE_FILE
+        return files
 
 
 IMAGE_DESCRIPTOR = BuilderDescriptor(
@@ -62,15 +54,5 @@ IMAGE_DESCRIPTOR = BuilderDescriptor(
     description="Assembles the bootable image from the packages of all "
                 "other blocks",
     schema=ImageProjectModel,
-    commands=(
-        CommandDescriptor("prepare", "building",
-                          "Performs all the preparatory steps to prepare "
-                          "this block for building, but does not build it."),
-        CommandDescriptor("build", "building", "Builds this block."),
-        CommandDescriptor("clean", "cleaning",
-                          "Deletes all generated files of this block."),
-        CommandDescriptor("start-container", "debugging",
-                          "Starts the container image of this block in an "
-                          "interactive session."),
-    ),
+    commands=SCRIPT_COMMANDS,
 )

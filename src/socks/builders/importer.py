@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from ..registry import BuilderDescriptor, CommandDescriptor
 from ..validation import BlockProjectModel
-from .base import Builder, StageReport
+from .base import CLEAN, Builder, StageReport
 
 
 class ImportProjectModel(BlockProjectModel):
@@ -32,7 +32,6 @@ IMPORT_DESCRIPTOR = BuilderDescriptor(
         CommandDescriptor("build", "building",
                           "Fetches and republishes this block's package "
                           "from import_src."),
-        CommandDescriptor("clean", "cleaning",
-                          "Deletes all generated files of this block."),
+        CLEAN,
     ),
 )

@@ -18,7 +18,7 @@ from ..registry import BuilderDescriptor, CommandDescriptor
 from ..sources import (SourceRef, SourceState, apply_config_snippets,
                        apply_patches, create_config_snippet,
                        create_patches_from_commits, sync_source)
-from .base import StageReport
+from .base import BUILD, CLEAN, PREPARE, START_CONTAINER, StageReport
 from .script import ScriptBuilder, ScriptProjectModel
 
 
@@ -141,21 +141,14 @@ class RepoScriptBuilder(ScriptBuilder):
 
 
 REPO_COMMANDS = (
-    CommandDescriptor("prepare", "building",
-                      "Performs all the preparatory steps to prepare this "
-                      "block for building, but does not build it."),
-    CommandDescriptor("build", "building", "Builds this block."),
-    CommandDescriptor("clean", "cleaning",
-                      "Deletes all generated files of this block."),
+    PREPARE, BUILD, CLEAN,
     CommandDescriptor("create-patches", "configuring",
                       "Uses the committed changes in this block's repo to "
                       "create patch files."),
     CommandDescriptor("create-cfg-snippet", "configuring",
                       "Creates a configuration snippet from the changes in "
                       "the .config file in this block's repo."),
-    CommandDescriptor("start-container", "debugging",
-                      "Starts the container image of this block in an "
-                      "interactive session."),
+    START_CONTAINER,
     CommandDescriptor("menucfg", "configuring",
                       "Opens the menuconfig tool to enable interactive "
                       "configuration of the project in this block."),

@@ -9,24 +9,21 @@ user-provided binary packages into the produced file-system artifact.
 from __future__ import annotations
 
 import shutil
-import urllib.request
 from pathlib import Path
-from urllib.parse import urlparse
 
 from .. import blockpackage as bp
 from ..errors import BuilderError
-from ..registry import BuilderDescriptor, CommandDescriptor
+from ..registry import BuilderDescriptor
 from ..validation import BlockProjectModel, ContentRuleModel
-from .base import Builder, StageReport
-
-ConsumeRuleModel = ContentRuleModel
+from .base import (BUILD, CLEAN, PREPARE, START_CONTAINER, Builder,
+                   StageReport)
 
 
 class ScriptProjectModel(BlockProjectModel):
     inputs: list[str] = []
     steps: list[str] = []
     outputs: list[str] = []
-    consumes: dict[str, ConsumeRuleModel] = {}
+    consumes: dict[str, ContentRuleModel] = {}
 
 
 class RootfsProjectModel(ScriptProjectModel):
@@ -73,7 +70,7 @@ class ScriptBuilder(Builder):
             files[declared] = path
         return files
 
-    def stage_extras(self) -> None:
+    def stage_extras(self, packages) -> None:
         """Hook for variants that add artifacts beyond the shell steps."""
 
     def sync_sources(self) -> None:
@@ -95,7 +92,7 @@ class ScriptBuilder(Builder):
         self.sync_sources()
         self.prepare_workspace(packages)
         self.run_steps(packages)
-        self.stage_extras()
+        self.stage_extras(packages)
         package = self.finish_build(self.collect_outputs())
         return StageReport(self.block_id, "build", artifacts=[package.path.name],
                            reasons=decision.reasons)
@@ -115,35 +112,25 @@ class RootfsBuilder(ScriptBuilder):
         return self.spec.builder_specific.get("extra_packages", [])
 
     def source_paths(self) -> list[Path]:
-        paths = super().source_paths()
-        for ref in self.extra_package_refs():
-            if urlparse(ref).scheme not in ("http", "https", "file"):
-                paths.append(self.project_dir / ref)
-        return paths
+        return super().source_paths() + [
+            self.project_dir / ref for ref in self.extra_package_refs()
+            if not bp.is_url(ref)]
 
-    def _fetch_extra(self, ref: str) -> Path:
-        scheme = urlparse(ref).scheme
-        if scheme in ("http", "https", "file"):
-            self.imports_dir.mkdir(parents=True, exist_ok=True)
-            name = Path(urlparse(ref).path).name or "payload"
-            dest = self.imports_dir / name
-            try:
-                with urllib.request.urlopen(ref) as resp, \
-                        open(dest, "wb") as out:
-                    shutil.copyfileobj(resp, out)
-            except OSError as exc:
-                raise BuilderError(
-                    f"cannot fetch extra package {ref!r}: {exc}") from exc
-            return dest
-        path = self.project_dir / ref
-        if not path.is_file():
-            raise BuilderError(f"extra package not found: {ref!r}")
-        return path
-
-    def stage_extras(self) -> None:
+    def stage_extras(self, packages) -> None:
         lines = []
         for ref in self.extra_package_refs():
-            payload = self._fetch_extra(ref)
+            if bp.is_url(ref):
+                try:
+                    payload = bp._download(ref, self.imports_dir,
+                                           self.credentials)
+                except bp.PackageError as exc:
+                    raise BuilderError(
+                        f"block '{self.block_id}' cannot fetch an extra "
+                        f"package: {exc}") from exc
+            else:
+                payload = self.project_dir / ref
+                if not payload.is_file():
+                    raise BuilderError(f"extra package not found: {ref!r}")
             digest = bp.archive_digest(payload)
             lines.append(f"{payload.name} sha256={digest}")
         (self.stage_dir / self.PACKAGES_FILE).write_text(
@@ -155,17 +142,7 @@ class RootfsBuilder(ScriptBuilder):
         return files
 
 
-SCRIPT_COMMANDS = (
-    CommandDescriptor("prepare", "building",
-                      "Performs all the preparatory steps to prepare this "
-                      "block for building, but does not build it."),
-    CommandDescriptor("build", "building", "Builds this block."),
-    CommandDescriptor("clean", "cleaning",
-                      "Deletes all generated files of this block."),
-    CommandDescriptor("start-container", "debugging",
-                      "Starts the container image of this block in an "
-                      "interactive session."),
-)
+SCRIPT_COMMANDS = (PREPARE, BUILD, CLEAN, START_CONTAINER)
 
 SCRIPT_DESCRIPTOR = BuilderDescriptor(
     name="Script_Builder",
@@ -180,5 +157,4 @@ ROOTFS_DESCRIPTOR = BuilderDescriptor(
                 "user-provided packages into it",
     schema=RootfsProjectModel,
     commands=SCRIPT_COMMANDS,
-    shares_container_group="filesystem",
 )

@@ -10,13 +10,14 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import SocksError, UsageError
-from .graph import ALL, Invocation
+from .errors import BuilderError, GraphError, SocksError, UsageError
+from .graph import ALL, Invocation, check_block
 from .orchestrator import run
 from .project import Project
+from .registry import BuilderDescriptor, CommandDescriptor
 
 DEFAULT_PROJECT_FILE = "socks.yml"
 HELP_WIDTH = 96
@@ -84,7 +85,6 @@ def parse(argv: list[str]) -> ParsedArgs:
 
     group = False
     command = None
-    options: dict[str, str] = {}
     while i < len(argv):
         arg = argv[i]
         if arg in ("-h", "--help"):
@@ -111,8 +111,7 @@ def parse(argv: list[str]) -> ParsedArgs:
     if target == ALL and group:
         log.info("--group has no effect with 'all'")
         group = False
-    out.invocation = Invocation(target=target, command=command, group=group,
-                                options=options)
+    out.invocation = Invocation(target=target, command=command, group=group)
     return out
 
 
@@ -145,14 +144,28 @@ def tool_help(project: Project | None) -> str:
     return text
 
 
+def _descriptor(project: Project, block_id: str) -> BuilderDescriptor:
+    """Builder descriptor of a block; an unknown block is a usage error."""
+    try:
+        check_block(project.builders, block_id)
+    except GraphError as exc:
+        raise UsageError(str(exc)) from exc
+    return project.builders[block_id].descriptor
+
+
+def _command(project: Project, block_id: str, verb: str) -> CommandDescriptor:
+    """A block's command; an unsupported verb is a usage error."""
+    descriptor = _descriptor(project, block_id)
+    try:
+        return descriptor.require_command(verb, block_id)
+    except BuilderError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def block_help(project: Project, block_id: str) -> str:
     if block_id == ALL:
         return tool_help(project)
-    if block_id not in project.builders:
-        valid = ", ".join(sorted(project.builders))
-        raise UsageError(f"unknown block '{block_id}' (valid: {valid})")
-    builder = project.builders[block_id]
-    descriptor = builder.descriptor
+    descriptor = _descriptor(project, block_id)
     verbs = descriptor.verbs()
     parser = argparse.ArgumentParser(
         prog=f"socks {block_id}", formatter_class=_formatter, add_help=False,
@@ -172,15 +185,7 @@ def block_help(project: Project, block_id: str) -> str:
 
 
 def command_help(project: Project, block_id: str, verb: str) -> str:
-    if block_id not in project.builders:
-        valid = ", ".join(sorted(project.builders))
-        raise UsageError(f"unknown block '{block_id}' (valid: {valid})")
-    descriptor = project.builders[block_id].descriptor
-    cmd = descriptor.command(verb)
-    if cmd is None:
-        raise UsageError(
-            f"command '{verb}' is not supported by the builder of block "
-            f"'{block_id}'; supported: {', '.join(descriptor.verbs())}")
+    cmd = _command(project, block_id, verb)
     return (f"usage: socks {block_id} {verb}\n\n{cmd.help}\n"
             f"\ncategory: {cmd.category}\n")
 
@@ -250,17 +255,7 @@ def main(argv: list[str] | None = None) -> int:
 
         inv = parsed.invocation
         if inv.target != ALL:
-            builder = project.builders.get(inv.target)
-            if builder is None:
-                valid = ", ".join(sorted(project.builders))
-                raise UsageError(
-                    f"unknown block '{inv.target}' (valid: {valid})")
-            if inv.command not in builder.verbs():
-                raise UsageError(
-                    f"command '{inv.command}' is not supported by the "
-                    f"builder of block '{inv.target}' "
-                    f"({builder.descriptor.name}); supported: "
-                    f"{', '.join(builder.verbs())}")
+            _command(project, inv.target, inv.command)
         report = run(project, inv)
         _print_summary(report)
         if (report.outcome == "completed" and len(report.entries) == 1

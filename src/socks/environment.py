@@ -1,7 +1,7 @@
 """Build environments: ephemeral containers or the plain host.
 
-Host commands run through the POSIX shell (``sh``) and are restricted to the
-small host tool set (git, core utilities, the container tool).  Build
+Host commands are argv lists, run without a shell, whose program must be in
+the small host tool set (git, core utilities, the container tool).  Build
 commands run through ``bash`` -- inside the block's container when
 containerization is enabled, directly on the host otherwise -- so command
 semantics are identical in both modes.
@@ -19,7 +19,7 @@ import os
 import shlex
 import subprocess
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -77,9 +77,12 @@ def _run(argv: list[str], *, kind: str, cwd: str | Path | None = None,
     full_env = dict(os.environ)
     if env:
         full_env.update(env)
-    proc = subprocess.run(
-        argv, cwd=cwd, env=full_env,
-        capture_output=capture, text=True)
+    try:
+        proc = subprocess.run(
+            argv, cwd=cwd, env=full_env,
+            capture_output=capture, text=True)
+    except OSError as exc:
+        raise EnvironmentError_(f"cannot start {argv[0]}: {exc}") from exc
     result = ProcessResult(command=shlex.join(argv),
                            returncode=proc.returncode,
                            stdout=proc.stdout if capture else "",
@@ -91,23 +94,15 @@ def _run(argv: list[str], *, kind: str, cwd: str | Path | None = None,
     return result
 
 
-def _first_program(cmd: str) -> str:
-    try:
-        tokens = shlex.split(cmd)
-    except ValueError:
-        return cmd.split()[0] if cmd.split() else ""
-    return Path(tokens[0]).name if tokens else ""
-
-
-def execute_host(cmd: str, *, cwd: str | Path | None = None,
+def execute_host(argv: list[str], *, cwd: str | Path | None = None,
                  env: dict | None = None, check: bool = True) -> ProcessResult:
-    """Run a host command via ``sh -c``; only whitelisted tools allowed."""
-    program = _first_program(cmd)
+    """Run a host tool without a shell; ``argv[0]`` must be whitelisted."""
+    program = Path(argv[0]).name if argv else ""
     if program not in HOST_TOOLS:
         raise EnvironmentError_(
             f"'{program}' is not in the host tool whitelist; "
             f"run it via the build environment instead")
-    return _run(["sh", "-c", cmd], kind="host", cwd=cwd, env=env, check=check)
+    return _run(list(argv), kind="host", cwd=cwd, env=env, check=check)
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import glob as globlib
 import heapq
-from dataclasses import dataclass, field
-from urllib.parse import urlparse
+from dataclasses import dataclass
 
+from .blockpackage import is_url
 from .errors import CycleError, GraphError
 from .validation import BlockSpec
 
@@ -37,12 +37,13 @@ class Invocation:
     target: str  # block id or ALL
     command: str
     group: bool = False
-    options: dict = field(default_factory=dict)
 
 
-def _is_external_ref(ref: str) -> bool:
-    scheme = urlparse(ref).scheme
-    return scheme in ("http", "https", "file")
+def check_block(known, block_id: str) -> None:
+    """Raise unless ``block_id`` is one of the ``known`` block IDs."""
+    if block_id not in known:
+        valid = ", ".join(sorted(known))
+        raise GraphError(f"unknown block '{block_id}' (valid: {valid})")
 
 
 def build_graph(blocks: dict[str, BlockSpec],
@@ -58,7 +59,7 @@ def build_graph(blocks: dict[str, BlockSpec],
         for dep_id, ref in spec.dependencies.items():
             if dep_id in blocks:
                 edges[dep_id].add(block_id)
-            elif _is_external_ref(ref):
+            elif is_url(ref):
                 continue
             else:
                 pattern = ref if project_dir is None else str(project_dir / ref)
@@ -110,9 +111,7 @@ def compute_active_set(graph: DependencyGraph, inv: Invocation) -> set[str]:
     """
     if inv.target == ALL:
         return set(graph.nodes)
-    if inv.target not in graph.nodes:
-        valid = ", ".join(sorted(graph.nodes))
-        raise GraphError(f"unknown block '{inv.target}' (valid: {valid})")
+    check_block(graph.nodes, inv.target)
     if not inv.group:
         return {inv.target}
     active = {inv.target}

@@ -162,15 +162,6 @@ class EventLog:
         return logged >= src_mtime
 
 
-def record_stage(logfile: EventLog, stage_id: str) -> None:
-    logfile.record(stage_id)
-
-
-def stage_fresh(logfile: EventLog, stage_id: str,
-                src_mtime: float | None) -> bool:
-    return logfile.fresh(stage_id, src_mtime)
-
-
 class ChecksumStore:
     """Digests of archives already imported by a block (``imports.csv``)."""
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .blockpackage import run_digest_memo
 from .builders.base import StageReport
-from .errors import BuilderError, SocksError
+from .errors import SocksError
 from .graph import ALL, Invocation, compute_active_set, order_for_command
 from .project import Project
 
@@ -62,15 +62,11 @@ def plan(project: Project, inv: Invocation) -> list[str]:
     order = order_for_command(active, category, project.graph)
     if inv.target != ALL:
         # For an explicit target the builder must support the verb.
-        builder = project.builders[inv.target]
-        if inv.command not in builder.verbs():
-            raise BuilderError(
-                f"command '{inv.command}' is not supported by the builder "
-                f"of block '{inv.target}' ({builder.descriptor.name}); "
-                f"supported: {', '.join(builder.verbs())}")
+        project.builders[inv.target].descriptor.require_command(
+            inv.command, inv.target)
         return order
     supported = [b for b in order
-                 if inv.command in project.builders[b].verbs()]
+                 if project.builders[b].descriptor.command(inv.command)]
     for block_id in set(order) - set(supported):
         log.info("block '%s' skipped: its builder has no '%s' command",
                  block_id, inv.command)

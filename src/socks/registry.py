@@ -36,7 +36,6 @@ class BuilderDescriptor:
     description: str
     schema: type[BlockProjectModel]
     commands: tuple[CommandDescriptor, ...]
-    shares_container_group: str | None = None
 
     def __post_init__(self):
         if not self.commands:
@@ -53,6 +52,17 @@ class BuilderDescriptor:
             if cmd.verb == verb:
                 return cmd
         return None
+
+    def require_command(self, verb: str, block_id: str) -> CommandDescriptor:
+        """The command ``verb`` of block ``block_id``, which this builder
+        must support."""
+        cmd = self.command(verb)
+        if cmd is None:
+            raise BuilderError(
+                f"command '{verb}' is not supported by the builder of block "
+                f"'{block_id}' ({self.name}); supported: "
+                f"{', '.join(self.verbs())}")
+        return cmd
 
 
 _REGISTRY: dict[str, tuple[BuilderDescriptor, Callable]] = {}
@@ -85,7 +95,3 @@ def instantiate(name: str, block_id: str, spec, general, context):
     factory = _REGISTRY[name][1]
     return factory(descriptor=descriptor, block_id=block_id, spec=spec,
                    general=general, context=context)
-
-
-def generate_command_set(builder) -> list[CommandDescriptor]:
-    return list(builder.descriptor.commands)

@@ -9,7 +9,6 @@ reproduces the exact same tree.
 
 from __future__ import annotations
 
-import hashlib
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,8 +30,8 @@ class SourceRef:
     checkout_dir: Path
 
 
-def _git(checkout: Path, args: str, check: bool = True):
-    return execute_host(f"git -C {checkout} {args}", check=check)
+def _git(checkout: Path, *args: str, check: bool = True):
+    return execute_host(["git", "-C", str(checkout), *args], check=check)
 
 
 def sanitize_stage_id(name: str) -> str:
@@ -68,7 +67,7 @@ class SourceState:
 
 
 def head_commit(checkout: Path) -> str:
-    return _git(checkout, "rev-parse HEAD").stdout.strip()
+    return _git(checkout, "rev-parse", "HEAD").stdout.strip()
 
 
 def sync_source(ref: SourceRef, event_log: EventLog,
@@ -76,7 +75,8 @@ def sync_source(ref: SourceRef, event_log: EventLog,
     """Clone the repository if absent; never silently switch branches."""
     checkout = ref.checkout_dir
     if (checkout / ".git").exists():
-        current = _git(checkout, "rev-parse --abbrev-ref HEAD").stdout.strip()
+        current = _git(checkout, "rev-parse", "--abbrev-ref",
+                       "HEAD").stdout.strip()
         if ref.branch and current != ref.branch:
             raise SourceError(
                 f"checkout {checkout} is on branch '{current}' but the "
@@ -84,16 +84,17 @@ def sync_source(ref: SourceRef, event_log: EventLog,
                 f"re-clone")
         return
     checkout.parent.mkdir(parents=True, exist_ok=True)
-    branch_arg = f"--branch {ref.branch} " if ref.branch else ""
+    branch_args = ["--branch", ref.branch] if ref.branch else []
     try:
-        execute_host(f"git clone {branch_arg}{ref.source} {checkout}")
+        execute_host(["git", "clone", *branch_args, "--", ref.source,
+                      str(checkout)])
     except ProcessError as exc:
         raise SourceError(f"clone failed for {ref.source}: {exc}") from exc
     # Patches are applied as commits, which needs a committer identity;
     # set a local fallback when the host has none configured.
-    if not _git(checkout, "config user.email", check=False).stdout.strip():
-        _git(checkout, "config user.name socks")
-        _git(checkout, "config user.email socks@localhost")
+    if not _git(checkout, "config", "user.email", check=False).stdout.strip():
+        _git(checkout, "config", "user.name", "socks")
+        _git(checkout, "config", "user.email", "socks@localhost")
     event_log.record(SYNC_STAGE)
     state.update(branch=ref.branch, commit=head_commit(checkout),
                  baseline=head_commit(checkout))
@@ -108,7 +109,7 @@ def apply_patches(checkout: Path, patches: list[Path], event_log: EventLog,
         stage_id = "patch-" + sanitize_stage_id(patch.name)
         if event_log.has(stage_id):
             continue
-        status = _git(checkout, "status --porcelain").stdout.strip()
+        status = _git(checkout, "status", "--porcelain").stdout.strip()
         if status:
             raise SourceError(
                 f"checkout {checkout} has unstaged changes; refusing to "
@@ -116,9 +117,9 @@ def apply_patches(checkout: Path, patches: list[Path], event_log: EventLog,
         if not patch.exists():
             raise SourceError(f"patch file not found: {patch}")
         try:
-            _git(checkout, f"am {patch.resolve()}")
+            _git(checkout, "am", str(patch.resolve()))
         except ProcessError as exc:
-            _git(checkout, "am --abort", check=False)
+            _git(checkout, "am", "--abort", check=False)
             raise SourceError(
                 f"patch {patch.name} does not apply: {exc}") from exc
         event_log.record(stage_id)
@@ -137,17 +138,16 @@ def create_patches_from_commits(checkout: Path, patches_dir: Path,
     """
     baseline = state.load().get("baseline")
     if not baseline:
-        baseline = _git(
-            checkout, "rev-list --max-parents=0 HEAD").stdout.strip().splitlines()[0]
-    count = int(_git(checkout,
-                     f"rev-list --count {baseline}..HEAD").stdout.strip())
+        baseline = _git(checkout, "rev-list", "--max-parents=0",
+                        "HEAD").stdout.strip().splitlines()[0]
+    count = int(_git(checkout, "rev-list", "--count",
+                     f"{baseline}..HEAD").stdout.strip())
     if count == 0:
         return []
     patches_dir.mkdir(parents=True, exist_ok=True)
-    result = _git(
-        checkout,
-        f"format-patch --start-number {existing_count + 1} "
-        f"-o {patches_dir.resolve()} {baseline}..HEAD")
+    result = _git(checkout, "format-patch",
+                  "--start-number", str(existing_count + 1),
+                  "-o", str(patches_dir.resolve()), f"{baseline}..HEAD")
     created = [Path(line).name for line in result.stdout.strip().splitlines()]
     state.update(baseline=head_commit(checkout))
     return created
@@ -235,15 +235,3 @@ def create_config_snippet(config_file: Path, baseline_file: Path,
         "".join(current[key] + "\n" for key in changed), encoding="utf-8")
     return changed
 
-
-def tree_digest(root: Path) -> str:
-    """Content digest of a source tree (VCS metadata excluded)."""
-    sha = hashlib.sha256()
-    files = sorted(p for p in root.rglob("*")
-                   if p.is_file() and ".git" not in p.parts)
-    for path in files:
-        sha.update(str(path.relative_to(root)).encode())
-        sha.update(b"\0")
-        sha.update(path.read_bytes())
-        sha.update(b"\0")
-    return sha.hexdigest()

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import tree_digest
 from socks import cli
 from socks.blockpackage import archive_digest
 from socks.configtree import ConfigTree, process_project, resolve_imports, \
@@ -26,7 +27,6 @@ from socks.graph import ALL, DependencyGraph, Invocation, compute_active_set, \
     order_for_command
 from socks.orchestrator import plan, run
 from socks.project import Project
-from socks.sources import tree_digest
 
 IMAGE_DEPS = ("atf", "devicetree", "fsbl", "kernel", "pmu_fw", "uboot",
                   "vivado", "rootfs")

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import base64
 import errno
 import hashlib
+import http.server
 import os
 import random
+import socket
 import tarfile
+import threading
 import time
 from pathlib import Path
 
@@ -64,6 +68,42 @@ def test_duplicate_registration_rejected():
 def test_unknown_builder_lists_available():
     with pytest.raises(BuilderError, match="available:.*Script_Builder"):
         get_descriptor("No_Such_Builder")
+
+
+PREPARE = ("prepare", "building",
+           "Performs all the preparatory steps to prepare this block for "
+           "building, but does not build it.")
+BUILD = ("build", "building", "Builds this block.")
+CLEAN = ("clean", "cleaning", "Deletes all generated files of this block.")
+START_CONTAINER = ("start-container", "debugging",
+                   "Starts the container image of this block in an "
+                   "interactive session.")
+
+
+def test_builtin_builder_commands_pinned():
+    repo = [PREPARE, BUILD, CLEAN,
+            ("create-patches", "configuring",
+             "Uses the committed changes in this block's repo to create "
+             "patch files."),
+            ("create-cfg-snippet", "configuring",
+             "Creates a configuration snippet from the changes in the "
+             ".config file in this block's repo."),
+            START_CONTAINER,
+            ("menucfg", "configuring",
+             "Opens the menuconfig tool to enable interactive configuration "
+             "of the project in this block.")]
+    expected = {
+        "Script_Builder": [PREPARE, BUILD, CLEAN, START_CONTAINER],
+        "Rootfs_Builder": [PREPARE, BUILD, CLEAN, START_CONTAINER],
+        "Repo_Script_Builder": repo,
+        "Import_Builder": [("build", "building",
+                            "Fetches and republishes this block's package "
+                            "from import_src."), CLEAN],
+        "Image_Builder": [PREPARE, BUILD, CLEAN, START_CONTAINER],
+    }
+    for name, commands in expected.items():
+        assert [(c.verb, c.category, c.help)
+                for c in get_descriptor(name).commands] == commands, name
 
 
 def test_command_descriptor_validation():
@@ -304,3 +344,81 @@ def test_truncated_dependency_fails_before_any_step(project, project_dir,
         assert isinstance(report.error, PackageError)
         assert report.entries == []
     assert recorder.count("build") == 0
+
+
+@pytest.fixture
+def stalled_url(monkeypatch):
+    """URL of a loopback server that accepts connections and never replies."""
+    monkeypatch.setattr(bp, "FETCH_TIMEOUT_S", 0.3)
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        port = server.getsockname()[1]
+        yield f"http://127.0.0.1:{port}/bp_ci_20260101T000000Z.tar.gz"
+
+
+@pytest.mark.parametrize("anchor, entry, inv", [
+    ("        - src/atf\n", "      dependencies:\n        ci: {url}\n",
+     Invocation("atf", "build")),
+    ("        - payloads/lib-2.1.pkg\n", "        - {url}\n",
+     Invocation("rootfs", "build", group=True)),
+], ids=["dependency", "extra-package"])
+def test_stalled_url_fails_with_located_error(project_dir, stalled_url,
+                                              anchor, entry, inv):
+    config = project_dir / "project-zynqmp-default.yml"
+    text = config.read_text()
+    assert text.count(anchor) == 1
+    config.write_text(text.replace(anchor, anchor + entry.format(
+        url=stalled_url)), encoding="utf-8")
+    project = Project.load(project_dir / "socks.yml")
+    reports = []
+    worker = threading.Thread(target=lambda: reports.append(run(project, inv)),
+                              daemon=True)
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive(), "the fetch hung"
+    report = reports[0]
+    assert (report.outcome, report.at_block) == ("failed", inv.target)
+    assert isinstance(report.error.__cause__, PackageError)
+    assert stalled_url in str(report.error.__cause__)
+    assert report.exit_code == 2
+
+
+def test_extra_package_url_is_fetched_with_credentials(project_dir):
+    payload = b"payload bytes\n"
+    token = "Basic " + base64.b64encode(b"ci:secret").decode()
+
+    class Handler(http.server.BaseHTTPRequestHandler):
+        def do_GET(self):
+            if self.headers.get("Authorization") != token:
+                self.send_error(401)
+                return
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(payload)))
+            self.end_headers()
+            self.wfile.write(payload)
+
+        def log_message(self, *args):
+            pass
+
+    config = project_dir / "project-zynqmp-default.yml"
+    with http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler) as server:
+        url = f"http://127.0.0.1:{server.server_port}/net-3.0.pkg"
+        config.write_text(config.read_text().replace(
+            "        - payloads/lib-2.1.pkg\n",
+            f"        - payloads/lib-2.1.pkg\n        - {url}\n"),
+            encoding="utf-8")
+        with open(project_dir / "socks.yml", "a", encoding="utf-8") as fh:
+            fh.write("\ncredentials:\n  127.0.0.1:\n"
+                     "    username: ci\n    password: secret\n")
+        serving = threading.Thread(target=server.serve_forever, daemon=True)
+        serving.start()
+        try:
+            report = run(Project.load(project_dir / "socks.yml"),
+                         Invocation("rootfs", "build", group=True))
+        finally:
+            server.shutdown()
+            serving.join(timeout=10)
+    assert report.outcome == "completed", report.error
+    with tarfile.open(newest_package(project_dir, "rootfs"), "r:gz") as tar:
+        listing = tar.extractfile("packages.txt").read().decode()
+    assert f"net-3.0.pkg sha256={hashlib.sha256(payload).hexdigest()}" \
+        in listing

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tarfile
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from socks import cli
 from socks.errors import UsageError
+from socks.fixture import materialize
 from socks.graph import ALL
 from socks.project import Project
 
@@ -157,6 +159,16 @@ def test_main_skip_reported(project_dir, capsys):
     run_cli(project_dir, "atf", "build")
     assert run_cli(project_dir, "atf", "build") == 0
     assert "atf: build skipped" in capsys.readouterr().out
+
+
+def test_main_builds_project_in_path_with_spaces(tmp_path, capsys):
+    project_dir = materialize(tmp_path / "my socks project")
+    assert run_cli(project_dir, "all", "build") == 0, capsys.readouterr().err
+    image = max((project_dir / "temp" / "image" / "output")
+                .glob("bp_image_*.tar.gz"))
+    with tarfile.open(image, "r:gz") as tar:
+        manifest = tar.extractfile("boot.img").read().decode()
+    assert len(manifest.splitlines()) == 8
 
 
 def test_main_unknown_block(project_dir, capsys):

@@ -1,4 +1,5 @@
-"""Environment manager: shell contract, whitelist, observers, path mapping."""
+"""Environment manager: argv and shell contracts, whitelist, observers, path
+mapping."""
 
 from __future__ import annotations
 
@@ -27,29 +28,43 @@ def container_env(tmp_path: Path) -> EnvironmentManager:
 
 
 def test_whitelisted_host_command(tmp_path):
-    result = execute_host("echo hello")
+    result = execute_host(["echo", "hello"])
     assert result.ok
     assert result.stdout.strip() == "hello"
 
 
 def test_non_whitelisted_host_command_rejected():
     with pytest.raises(EnvironmentError_, match="whitelist"):
-        execute_host("python3 -c 'print(1)'")
+        execute_host(["python3", "-c", "print(1)"])
 
 
 def test_whitelist_checks_program_name_not_path():
     with pytest.raises(EnvironmentError_):
-        execute_host("/usr/bin/curl http://example.com")
+        execute_host(["/usr/bin/curl", "http://example.com"])
 
 
-def test_host_commands_run_under_sh(recorder):
-    execute_host("true")
-    assert recorder.calls[-1][1][0] == "sh"
+def test_host_commands_run_without_shell(tmp_path, recorder):
+    result = execute_host(["echo", "a; touch x"], cwd=tmp_path)
+    assert recorder.calls[-1] == ("host", ["echo", "a; touch x"])
+    assert result.stdout == "a; touch x\n"
+    assert not (tmp_path / "x").exists()
+
+
+def test_whitelist_checks_the_program_not_the_first_word():
+    # Under a shell, "git x; curl ..." passed a check of the first word.
+    with pytest.raises(EnvironmentError_, match="'git x; curl'"):
+        execute_host(["git x; curl", "http://example.com"])
+
+
+def test_missing_host_program_is_a_located_error(monkeypatch):
+    monkeypatch.setenv("PATH", "/nonexistent")
+    with pytest.raises(EnvironmentError_, match="cannot start git"):
+        execute_host(["git", "--version"])
 
 
 def test_host_failure_raises_with_streams():
     with pytest.raises(ProcessError) as exc:
-        execute_host("ls /definitely/not/here")
+        execute_host(["ls", "/definitely/not/here"])
     assert exc.value.exit_code == 2
     assert "stderr" in str(exc.value)
 

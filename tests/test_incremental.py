@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from socks.errors import IncrementalStateError
 from socks.incremental import (VCS_DIRS, ChecksumStore, ConfigSnapshot,
                                EventLog, needs_rebuild, newest_mtime,
-                               record_stage, stage_fresh, stale_by_timestamps)
+                               stale_by_timestamps)
 
 
 def make_file(path: Path, mtime: float) -> Path:
@@ -136,7 +136,7 @@ def test_future_mtime_counts_as_stale(tmp_path):
 def test_event_log_record_and_query(tmp_path):
     log = EventLog(tmp_path / "events.csv")
     assert not log.has("build")
-    record_stage(log, "build")
+    log.record("build")
     assert log.has("build")
     assert log.last("build") is not None
 
@@ -177,11 +177,11 @@ def test_event_log_malformed_rows(tmp_path):
 def test_stage_fresh_contract(tmp_path):
     log = EventLog(tmp_path / "events.csv")
     log.record("stage", when=30.0)
-    assert stage_fresh(log, "stage", 20.0) is True
-    assert stage_fresh(log, "stage", 30.0) is True
-    assert stage_fresh(log, "stage", 40.0) is False
-    assert stage_fresh(log, "stage", None) is True
-    assert stage_fresh(log, "unknown", 10.0) is False
+    assert log.fresh("stage", 20.0) is True
+    assert log.fresh("stage", 30.0) is True
+    assert log.fresh("stage", 40.0) is False
+    assert log.fresh("stage", None) is True
+    assert log.fresh("unknown", 10.0) is False
 
 
 @settings(max_examples=200, deadline=None)

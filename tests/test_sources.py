@@ -7,13 +7,14 @@ from pathlib import Path
 
 import pytest
 
+from helpers import tree_digest
 from socks.errors import SourceError
 from socks.fixture import create_kernel_origin
 from socks.incremental import EventLog
 from socks.sources import (SourceRef, SourceState, apply_config_snippets,
                            apply_patches, create_config_snippet,
                            create_patches_from_commits, parse_kconfig_lines,
-                           sync_source, tree_digest)
+                           sync_source)
 
 BRANCH = "xilinx-v2022.2"
 
@@ -61,7 +62,7 @@ def test_sync_existing_checkout_noop(workspace, recorder):
     sync_source(ref, log, state)
     recorder.reset()
     sync_source(ref, log, state)
-    clones = [argv for _, argv in recorder.calls if "clone" in argv[-1]]
+    clones = [argv for _, argv in recorder.calls if "clone" in argv]
     assert clones == []
 
 
@@ -119,7 +120,7 @@ def test_apply_patches_idempotent_via_event_log(workspace, tmp_path, origin,
     apply_patches(ref.checkout_dir, patches, log, state)
     recorder.reset()
     assert apply_patches(ref.checkout_dir, patches, log, state) == []
-    ams = [argv for _, argv in recorder.calls if " am " in argv[-1]]
+    ams = [argv for _, argv in recorder.calls if "am" in argv]
     assert ams == []
 
 
