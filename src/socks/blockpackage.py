@@ -18,7 +18,6 @@ import re
 import shutil
 import struct
 import tarfile
-import urllib.request
 import zlib
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -396,7 +395,16 @@ def resolve_dependency(ref: DependencyRef, project_dir: str | Path,
 
 def _download(url: str, dest_dir: Path, credentials: dict | None) -> Path:
     """Fetch ``url`` into ``dest_dir`` with one GET; basic-auth credentials
-    are looked up by host name."""
+    are looked up by host name.
+
+    The bytes go to a hidden partial file that replaces the previous copy
+    only once the whole body has arrived, so a failed or truncated fetch
+    leaves that copy as it was.
+    """
+    # Imported here: http.client, email and ssl come with it, and only
+    # fetches need them.
+    import http.client
+    import urllib.request
     parsed = urlparse(url)
     dest_dir.mkdir(parents=True, exist_ok=True)
     name = Path(parsed.path).name or "download.tar.gz"
@@ -410,12 +418,25 @@ def _download(url: str, dest_dir: Path, credentials: dict | None) -> Path:
                 f"{creds['username']}:{creds.get('password', '')}".encode()
             ).decode("ascii")
             request.add_header("Authorization", f"Basic {token}")
+    partial = dest_dir / f".{name}.partial"
     try:
         with urllib.request.urlopen(request, timeout=FETCH_TIMEOUT_S) as resp, \
-                open(dest, "wb") as out:
+                open(partial, "wb") as out:
             shutil.copyfileobj(resp, out)
-    except OSError as exc:
-        raise PackageError(f"download failed for {url}: {exc}") from exc
+            expected = resp.headers.get("Content-Length", "")
+            received = out.tell()
+        # urllib returns a body cut short by a closed connection as if it
+        # were complete.
+        if expected.isdigit() and int(expected) != received:
+            raise PackageError(
+                f"download failed for {url}: the connection closed after "
+                f"{received} of {expected} bytes")
+        os.replace(partial, dest)
+    except BaseException as exc:
+        partial.unlink(missing_ok=True)
+        if isinstance(exc, (OSError, http.client.HTTPException)):
+            raise PackageError(f"download failed for {url}: {exc}") from exc
+        raise
     return dest
 
 

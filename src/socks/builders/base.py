@@ -196,15 +196,21 @@ class Builder:
             raise BuilderError(
                 f"block '{self.block_id}' is set to source 'import' but has "
                 f"no import_src")
-        archive = bp.resolve_dependency(
-            bp.DependencyRef(src), self.project_dir,
-            download_dir=self.imports_dir, credentials=self.credentials)
-        package = bp.open_package(archive, emitter=self.block_id)
-        published = self.output_dir / archive.name
-        if self.checksum_store.seen(package.digest) and published.exists() \
-                and not self.snapshot.changed(self.section_text):
-            return StageReport(self.block_id, "build", skipped=True)
-        bp.require_contents(package, self.emitter_rule())
+        try:
+            archive = bp.resolve_dependency(
+                bp.DependencyRef(src), self.project_dir,
+                download_dir=self.imports_dir, credentials=self.credentials)
+            package = bp.open_package(archive, emitter=self.block_id)
+            published = self.output_dir / archive.name
+            if self.checksum_store.seen(package.digest) \
+                    and published.exists() \
+                    and not self.snapshot.changed(self.section_text):
+                return StageReport(self.block_id, "build", skipped=True)
+            bp.require_contents(package, self.emitter_rule())
+        except bp.PackageError as exc:
+            raise BuilderError(
+                f"block '{self.block_id}' cannot import its package: "
+                f"{exc}") from exc
         self.output_dir.mkdir(parents=True, exist_ok=True)
         if archive.resolve() != published.resolve():
             shutil.copy2(archive, published)

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from pydantic import model_validator
-
 from ..registry import BuilderDescriptor
 from .script import SCRIPT_COMMANDS, ScriptBuilder, ScriptProjectModel
 
@@ -20,13 +18,12 @@ FILESYSTEM_BLOCKS = {"rootfs", "ramfs"}
 
 class ImageProjectModel(ScriptProjectModel):
 
-    @model_validator(mode="after")
-    def _needs_one_filesystem(self):
-        if not FILESYSTEM_BLOCKS & set(self.dependencies):
+    @classmethod
+    def check(cls, value: dict) -> None:
+        if not FILESYSTEM_BLOCKS & set(value["dependencies"]):
             raise ValueError(
                 "the image must consume at least one file-system block "
                 "(rootfs or ramfs)")
-        return self
 
 
 class ImageBuilder(ScriptBuilder):

@@ -10,20 +10,18 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from pydantic import BaseModel, ConfigDict
-
 from ..configedit import append_to_block_list
 from ..errors import BuilderError
 from ..registry import BuilderDescriptor, CommandDescriptor
 from ..sources import (SourceRef, SourceState, apply_config_snippets,
                        apply_patches, create_config_snippet,
                        create_patches_from_commits, sync_source)
+from ..validation import Schema
 from .base import BUILD, CLEAN, PREPARE, START_CONTAINER, StageReport
 from .script import ScriptBuilder, ScriptProjectModel
 
 
-class BuildSrcsModel(BaseModel):
-    model_config = ConfigDict(extra="forbid")
+class BuildSrcsModel(Schema):
     source: str
     branch: str = ""
 

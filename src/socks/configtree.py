@@ -90,13 +90,17 @@ def load_project(path: str | Path) -> ConfigTree:
     if not path.exists():
         raise ConfigError(f"configuration file not found: {path}")
     text = path.read_text(encoding="utf-8")
+    # One parse: the node graph gives the origins, the data is built from it.
+    loader = yaml.SafeLoader(text)
     try:
-        node = yaml.compose(text, Loader=yaml.SafeLoader)
-        data = yaml.safe_load(text)
+        node = loader.get_single_node()
+        data = loader.construct_document(node) if node is not None else None
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f"{path}:{mark.line + 1}" if mark else str(path)
         raise ConfigError(f"YAML parse error: {exc}", origin=where) from exc
+    finally:
+        loader.dispose()
     if not isinstance(data, dict):
         raise ConfigError("root must be a mapping", origin=str(path))
     origins: dict[str, str] = {}

@@ -8,11 +8,12 @@ builder-specific schema supplied by the block's builder.
 
 from __future__ import annotations
 
+import copy
+import functools
 import os
+import types
+import typing
 from dataclasses import dataclass, field
-
-import pydantic
-from pydantic import BaseModel, ConfigDict
 
 from .configtree import ConfigTree
 from .errors import ValidationError
@@ -81,48 +82,137 @@ class BlockSpec:
     builder_specific: dict = field(default_factory=dict)
 
 
-class ContainerModel(BaseModel):
-    model_config = ConfigDict(extra="forbid")
+class Schema:
+    """Base of the section schemas.
+
+    Each annotated class attribute is a key of the section; its value, if
+    it has one, is the key's default.  ``check_section`` enforces them.
+    """
+
+    @classmethod
+    def check(cls, value: dict) -> None:
+        """Cross-field rule over the checked section; raise ``ValueError``
+        to reject it."""
+
+
+class ContainerModel(Schema):
     image: str
     tag: str = "socks"
 
 
-class CommonBlockModel(BaseModel):
-    model_config = ConfigDict(extra="forbid")
+class CommonBlockModel(Schema):
     source: str = "build"
     builder: str
     container: ContainerModel
     project: dict = {}
 
 
-class ContentRuleModel(BaseModel):
+class ContentRuleModel(Schema):
     """Declarative content rule: globs a block package must/may contain."""
 
-    model_config = ConfigDict(extra="forbid")
     required: list[str] = []
     optional: list[str] = []
 
 
-class BlockProjectModel(BaseModel):
+class BlockProjectModel(Schema):
     """Base schema for the builder-specific ``project`` subtree.
 
     Builders subclass this and add their own fields; unknown keys are
     rejected so typos surface at validation time.
     """
 
-    model_config = ConfigDict(extra="forbid")
     import_src: str | None = None
     dependencies: dict[str, str] = {}
-    emits: ContentRuleModel = ContentRuleModel()
+    emits: ContentRuleModel = {}
 
 
-def _pydantic_error(exc: pydantic.ValidationError, base_path: str,
-                    tree: ConfigTree) -> ValidationError:
-    first = exc.errors()[0]
-    loc = "/".join(str(part) for part in first["loc"])
-    key_path = f"{base_path}/{loc}" if loc else base_path
-    return ValidationError(first["msg"], key_path=key_path,
+_REQUIRED = object()
+
+
+@functools.cache
+def _fields(schema: type[Schema]) -> dict[str, tuple[object, object]]:
+    """Key name -> (type, default) of ``schema``, base-class keys first."""
+    return {name: (tp, getattr(schema, name, _REQUIRED))
+            for name, tp in typing.get_type_hints(schema).items()}
+
+
+def _error(message: str, key_path: str, tree: ConfigTree) -> ValidationError:
+    return ValidationError(message, key_path=key_path,
                            origin=tree.origin(key_path))
+
+
+def _shape(tp) -> type:
+    """The Python type a YAML value of type ``tp`` must have."""
+    if isinstance(tp, type) and issubclass(tp, Schema):
+        return dict
+    return typing.get_origin(tp) or tp
+
+
+_NAMES = {str: "a string", list: "a list", dict: "a mapping",
+          type(None): "null", bool: "a boolean", int: "an integer",
+          float: "a number"}
+_UNIONS = (typing.Union, types.UnionType)
+
+
+def _name(shape: type) -> str:
+    return _NAMES.get(shape, shape.__name__)
+
+
+def _check(value, tp, key_path: str, tree: ConfigTree):
+    """``value`` checked against ``tp``, as a fresh copy."""
+    options = typing.get_args(tp) if typing.get_origin(tp) in _UNIONS \
+        else (tp,)
+    for tp in options:
+        if isinstance(value, _shape(tp)):
+            break
+    else:
+        expected = " or ".join(_name(_shape(option)) for option in options)
+        raise _error(f"expected {expected}, got {_name(type(value))}",
+                     key_path, tree)
+    if isinstance(tp, type) and issubclass(tp, Schema):
+        return check_section(value, tp, key_path, tree)
+    args = typing.get_args(tp)
+    if not args:
+        return copy.deepcopy(value)
+    if isinstance(value, list):
+        return [_check(item, args[0], f"{key_path}/{i}", tree)
+                for i, item in enumerate(value)]
+    out = {}
+    for key, item in value.items():
+        if not isinstance(key, _shape(args[0])):
+            raise _error(f"expected {_name(_shape(args[0]))} as key, "
+                         f"got {_name(type(key))}", f"{key_path}/{key}", tree)
+        out[key] = _check(item, args[1], f"{key_path}/{key}", tree)
+    return out
+
+
+def check_section(section, schema: type[Schema], key_path: str,
+                  tree: ConfigTree) -> dict:
+    """Check one configuration section against ``schema``.
+
+    Returns a fresh dict holding every key of the schema, absent keys
+    filled in from (copies of) their defaults.  The first fault raises a
+    ``ValidationError`` located by key path and ``file:line`` origin.
+    """
+    if not isinstance(section, dict):
+        raise _error(f"expected a mapping, got {_name(type(section))}",
+                     key_path, tree)
+    fields = _fields(schema)
+    for key in section:
+        if key not in fields:
+            raise _error(f"unknown key (allowed: {', '.join(sorted(fields))})",
+                         f"{key_path}/{key}", tree)
+    out = {}
+    for name, (tp, default) in fields.items():
+        value = section.get(name, default)
+        if value is _REQUIRED:
+            raise _error("missing required key", f"{key_path}/{name}", tree)
+        out[name] = _check(value, tp, f"{key_path}/{name}", tree)
+    try:
+        schema.check(out)
+    except ValueError as exc:
+        raise _error(str(exc), key_path, tree) from exc
+    return out
 
 
 def validate_general(tree: ConfigTree) -> GeneralSettings:
@@ -186,26 +276,20 @@ def validate_block(tree: ConfigTree, block_id: str,
     if not isinstance(section, dict):
         raise ValidationError("block section missing or not a mapping",
                               key_path=base_path, origin=tree.origin(base_path))
-    try:
-        common = CommonBlockModel.model_validate(section)
-    except pydantic.ValidationError as exc:
-        raise _pydantic_error(exc, base_path, tree) from exc
-
-    if common.source not in ("build", "import"):
+    common = check_section(section, CommonBlockModel, base_path, tree)
+    source_mode = common["source"]
+    if source_mode not in ("build", "import"):
         raise ValidationError(
-            f"source must be 'build' or 'import', got {common.source!r}",
+            f"source must be 'build' or 'import', got {source_mode!r}",
             key_path=f"{base_path}/source",
             origin=tree.origin(f"{base_path}/source"))
 
-    project_section = common.project
+    project_section = common["project"]
     if schema is not None:
-        try:
-            model = schema.model_validate(project_section)
-        except pydantic.ValidationError as exc:
-            raise _pydantic_error(exc, f"{base_path}/project", tree) from exc
-        import_src = model.import_src
-        dependencies = dict(model.dependencies)
-        builder_specific = model.model_dump()
+        builder_specific = check_section(project_section, schema,
+                                         f"{base_path}/project", tree)
+        import_src = builder_specific["import_src"]
+        dependencies = dict(builder_specific["dependencies"])
     else:
         import_src = project_section.get("import_src")
         deps = project_section.get("dependencies", {})
@@ -217,7 +301,7 @@ def validate_block(tree: ConfigTree, block_id: str,
         dependencies = dict(deps)
         builder_specific = dict(project_section)
 
-    if common.source == "import" and not import_src:
+    if source_mode == "import" and not import_src:
         raise ValidationError(
             "import_src is required when source is 'import'",
             key_path=f"{base_path}/project/import_src",
@@ -238,11 +322,11 @@ def validate_block(tree: ConfigTree, block_id: str,
 
     return BlockSpec(
         block_id=block_id,
-        builder_name=common.builder,
-        source_mode=common.source,
+        builder_name=common["builder"],
+        source_mode=source_mode,
         import_src=import_src,
-        container_image=common.container.image,
-        container_tag=common.container.tag,
+        container_image=common["container"]["image"],
+        container_tag=common["container"]["tag"],
         dependencies=dependencies,
         builder_specific=builder_specific,
     )

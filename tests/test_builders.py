@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from socks import blockpackage as bp
-from socks import registry
+from socks import cli, registry
 from socks.builders.base import Builder, StageReport
 from socks.errors import BuilderError, PackageError
 from socks.graph import ALL, Invocation
@@ -235,6 +235,30 @@ def test_import_builder_corrupt_archive(project_dir, tmp_path):
     assert not (project_dir / "temp" / "vivado" / "output").exists()
 
 
+@pytest.mark.parametrize("broken", ["missing", "truncated"])
+def test_failed_import_exits_2_naming_the_block(project_dir, tmp_path, capsys,
+                                                broken):
+    ref = "file:///nonexistent/bp_vivado_20260101T000000Z.tar.gz"
+    if broken == "truncated":
+        xsa = tmp_path / "system.xsa"
+        xsa.write_bytes(random.Random(5).randbytes(256 << 10))
+        pkg = bp.create_package("vivado", tmp_path / "ci", {"system.xsa": xsa},
+                                stamp="20260101T000000Z")
+        data = pkg.path.read_bytes()
+        pkg.path.write_bytes(data[:len(data) // 2])  # valid head, cut tail
+        ref = pkg.path.resolve().as_uri()
+    config = project_dir / "socks.yml"
+    config.write_text(config.read_text() + f"""\
+  vivado:
+    source: import
+    project:
+      import_src: {ref}
+""", encoding="utf-8")
+    assert cli.main(["-f", str(config), "vivado", "build"]) == 2
+    assert "block 'vivado' cannot import its package" in capsys.readouterr().err
+    assert not (project_dir / "temp" / "vivado" / "output").exists()
+
+
 def test_import_source_without_src_fails_clearly(project):
     builder = project.builders["vivado"]
     object.__setattr__(builder.spec, "source_mode", "import")
@@ -380,6 +404,54 @@ def test_stalled_url_fails_with_located_error(project_dir, stalled_url,
     assert isinstance(report.error.__cause__, PackageError)
     assert stalled_url in str(report.error.__cause__)
     assert report.exit_code == 2
+
+
+@pytest.mark.parametrize("cut", ["closed", "stalled"])
+def test_cut_download_keeps_the_previous_copy(tmp_path, monkeypatch, cut):
+    monkeypatch.setattr(bp, "FETCH_TIMEOUT_S", 0.3)
+    body = b"new archive bytes\n" * 1000
+    release = threading.Event()
+    cuts = [cut]
+
+    class Handler(http.server.BaseHTTPRequestHandler):
+        def do_GET(self):
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            if not cuts:
+                self.wfile.write(body)
+                return
+            self.wfile.write(body[:len(body) // 3])
+            self.wfile.flush()
+            if cuts.pop() == "stalled":
+                release.wait(timeout=10)
+            self.close_connection = True
+
+        def log_message(self, *args):
+            pass
+
+    dest_dir = tmp_path / "imports"
+    dest_dir.mkdir()
+    previous = dest_dir / "bp_ci_20260101T000000Z.tar.gz"
+    previous.write_bytes(b"previous good copy")
+    with http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler) as server:
+        serving = threading.Thread(target=server.serve_forever, daemon=True)
+        serving.start()
+        url = f"http://127.0.0.1:{server.server_port}/{previous.name}"
+        try:
+            with pytest.raises(PackageError) as exc:
+                bp._download(url, dest_dir, None)
+            assert url in str(exc.value)
+            assert previous.read_bytes() == b"previous good copy"
+            assert os.listdir(dest_dir) == [previous.name]
+            release.set()
+            assert bp._download(url, dest_dir, None) == previous
+        finally:
+            release.set()
+            server.shutdown()
+            serving.join(timeout=10)
+    assert previous.read_bytes() == body
+    assert os.listdir(dest_dir) == [previous.name]
 
 
 def test_extra_package_url_is_fetched_with_credentials(project_dir):
