@@ -74,15 +74,6 @@ class ContentRule:
     optional_globs: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class DependencyRef:
-    raw: str
-
-    @property
-    def kind(self) -> str:
-        return "url" if is_url(self.raw) else "local-glob"
-
-
 def make_stamp(now: datetime | None = None) -> str:
     now = now or datetime.now(timezone.utc)
     return now.strftime(STAMP_FORMAT)
@@ -356,8 +347,8 @@ def open_package(path: str | Path, emitter: str = "") -> BlockPackage:
 
     Only the gzip header and the first tar header are read; the member
     listing waits for ``entries``.  A skip never needs it: a block skips only
-    when its ``imports.csv`` holds this digest, and the digest is recorded
-    only after these exact bytes were fully read.
+    when its build record holds this digest, and the record is written only
+    after these exact bytes were fully read by the build it commits.
     """
     path = Path(path)
     try:
@@ -372,7 +363,7 @@ def open_package(path: str | Path, emitter: str = "") -> BlockPackage:
     return BlockPackage(path=path, emitter=emitter, digest=_memo_digest(path))
 
 
-def resolve_dependency(ref: DependencyRef, project_dir: str | Path,
+def resolve_dependency(ref: str, project_dir: str | Path,
                        download_dir: str | Path | None = None,
                        credentials: dict | None = None) -> Path:
     """Turn a dependency reference into a local archive path.
@@ -382,13 +373,13 @@ def resolve_dependency(ref: DependencyRef, project_dir: str | Path,
     with a single GET into ``download_dir``.
     """
     project_dir = Path(project_dir)
-    if ref.kind == "url":
-        return _download(ref.raw, Path(download_dir or project_dir), credentials)
-    matches = [Path(p) for p in globlib.glob(str(project_dir / ref.raw))]
+    if is_url(ref):
+        return _download(ref, Path(download_dir or project_dir), credentials)
+    matches = [Path(p) for p in globlib.glob(str(project_dir / ref))]
     matches = [p for p in matches if p.is_file()]
     if not matches:
         raise PackageError(
-            f"no block package matches '{ref.raw}'; "
+            f"no block package matches '{ref}'; "
             f"build the providing block first or import it")
     return max(matches, key=lambda p: p.name)
 
@@ -463,18 +454,21 @@ def require_contents(pkg: BlockPackage, rule: ContentRule) -> None:
             f"required entries: {violations}", violations)
 
 
-def import_package(pkg: BlockPackage, dest_dir: str | Path,
-                   checksum_store=None) -> dict:
+def import_package(pkg: BlockPackage, dest_dir: str | Path) -> dict:
     """Extract a package, once per digest, replacing ``dest_dir`` whole.
 
-    When ``checksum_store`` already knows the digest the extraction is
-    skipped and the filesystem stays untouched.  The archive is read in one
-    forward pass into a hidden sibling directory that replaces ``dest_dir``
-    only once every member passed, so files an older package carried do not
-    survive and a rejected archive leaves ``dest_dir`` as it was.
+    A hidden ``.<dest>.digest`` marker beside ``dest_dir`` names the package
+    extracted there; when it names this digest the extraction is skipped and
+    the filesystem stays untouched.  The archive is read in one forward pass
+    into a hidden sibling directory that replaces ``dest_dir`` only once
+    every member passed, so files an older package carried do not survive
+    and a rejected archive leaves ``dest_dir`` as it was.  The marker is
+    removed before that swap and written after it.
     """
     dest_dir = Path(dest_dir)
-    if checksum_store is not None and checksum_store.seen(pkg.digest):
+    marker = dest_dir.with_name(f".{dest_dir.name}.digest")
+    if dest_dir.is_dir() and marker.is_file() \
+            and marker.read_bytes() == pkg.digest.encode():
         return {"imported": False, "digest": pkg.digest}
     staging = dest_dir.with_name(f".{dest_dir.name}.partial")
     try:
@@ -485,8 +479,10 @@ def import_package(pkg: BlockPackage, dest_dir: str | Path,
             tar.extractall(staging, filter=_package_filter)
             # Extraction read every header: listing the members costs nothing.
             entries = tuple(m.name for m in tar.getmembers() if m.isfile())
+        marker.unlink(missing_ok=True)
         shutil.rmtree(dest_dir, ignore_errors=True)
         os.replace(staging, dest_dir)
+        marker.write_bytes(pkg.digest.encode())
     except BaseException as exc:
         shutil.rmtree(staging, ignore_errors=True)
         if isinstance(exc, (tarfile.TarError, OSError, EOFError)):
@@ -494,6 +490,4 @@ def import_package(pkg: BlockPackage, dest_dir: str | Path,
                 f"extraction failed for {pkg.path}: {exc}") from exc
         raise
     vars(pkg)["entries"] = entries
-    if checksum_store is not None:
-        checksum_store.record(pkg.digest)
     return {"imported": True, "digest": pkg.digest}

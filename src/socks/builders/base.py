@@ -5,13 +5,14 @@ All file activity of a builder stays under ``temp/<block_id>/`` inside the
 project folder:
 
     temp/<block_id>/
-        output/       block packages this block emits
+        output/       the package this block last published
         stage/        declared artifacts collected before packaging
         deps/<dep>/   extracted dependency packages
+        deps/.<dep>.digest  digest of the package extracted in deps/<dep>/
         imports/      downloaded archives
-        events.csv    successful build stages
-        imports.csv   digests of archives already imported
-        config.used   config section snapshot of the last successful build
+        build.json    what the published package was built from, written
+                      only after it is published
+        events.csv    completed checkout stages (repository blocks)
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ from .. import blockpackage as bp
 from ..configtree import ConfigTree
 from ..environment import EnvironmentManager, make_env_spec
 from ..errors import BuilderError
-from ..incremental import (ChecksumStore, ConfigSnapshot, EventLog,
-                           needs_rebuild)
+from ..incremental import BuildRecord, needs_rebuild
 from ..registry import BuilderDescriptor, CommandDescriptor
 from ..validation import BlockSpec, GeneralSettings
 
@@ -87,16 +87,8 @@ class Builder:
         return self.work_dir / "imports"
 
     @property
-    def event_log(self) -> EventLog:
-        return EventLog(self.work_dir / "events.csv")
-
-    @property
-    def checksum_store(self) -> ChecksumStore:
-        return ChecksumStore(self.work_dir / "imports.csv")
-
-    @property
-    def snapshot(self) -> ConfigSnapshot:
-        return ConfigSnapshot(self.work_dir / "config.used")
+    def record_path(self) -> Path:
+        return self.work_dir / "build.json"
 
     @property
     def env(self) -> EnvironmentManager:
@@ -104,8 +96,7 @@ class Builder:
                              tag=self.spec.container_tag,
                              container_tool=self.general.container_tool,
                              project_dir=self.project_dir)
-        return EnvironmentManager(spec, self.general.effective_threads(),
-                                  self.event_log)
+        return EnvironmentManager(spec, self.general.effective_threads())
 
     @property
     def credentials(self) -> dict:
@@ -136,10 +127,9 @@ class Builder:
     def resolve_dependencies(self) -> dict[str, bp.BlockPackage]:
         resolved = {}
         for dep_id in sorted(self.spec.dependencies):
-            ref = bp.DependencyRef(self.spec.dependencies[dep_id])
             try:
                 archive = bp.resolve_dependency(
-                    ref, self.project_dir, download_dir=self.imports_dir,
+                    self.spec.dependencies[dep_id], self.project_dir, download_dir=self.imports_dir,
                     credentials=self.credentials)
             except bp.PackageError as exc:
                 raise BuilderError(
@@ -166,20 +156,20 @@ class Builder:
 
     def import_dependencies(self, packages: dict[str, bp.BlockPackage]) -> None:
         for dep_id, pkg in packages.items():
-            bp.import_package(pkg, self.deps_dir / dep_id, self.checksum_store)
+            bp.import_package(pkg, self.deps_dir / dep_id)
 
-    def rebuild_decision(self, *, sources: list, packages: dict,
-                         required_stages: list[str] | None = None):
-        return needs_rebuild(
-            sources=sources,
-            outputs=self.existing_packages(),
-            required_stages=required_stages or [],
-            event_log=self.event_log,
-            dependency_digests=[p.digest for p in packages.values()],
-            checksum_store=self.checksum_store,
-            config_text=self.section_text,
-            snapshot=self.snapshot,
-        )
+    def rebuild_decision(self, *, sources: list, inputs: dict[str, str]):
+        return needs_rebuild(record_path=self.record_path,
+                             output_dir=self.output_dir, sources=sources,
+                             inputs=inputs, config_text=self.section_text)
+
+    def commit(self, package_name: str, inputs: dict[str, str]) -> None:
+        """Record the published package, then drop the ones it supersedes."""
+        BuildRecord(package_name, inputs, self.section_text).save(
+            self.record_path)
+        for old in self.existing_packages():
+            if old.name != package_name:
+                old.unlink()
 
     def emitter_rule(self) -> bp.ContentRule:
         emits = self.spec.builder_specific.get("emits") or {}
@@ -190,7 +180,7 @@ class Builder:
 
     def run_import(self) -> StageReport:
         """Source this block's package from ``import_src`` instead of
-        building; re-imports of an already-seen digest are skipped."""
+        building; an import of the digest last committed is skipped."""
         src = self.spec.import_src
         if not src:
             raise BuilderError(
@@ -198,13 +188,14 @@ class Builder:
                 f"no import_src")
         try:
             archive = bp.resolve_dependency(
-                bp.DependencyRef(src), self.project_dir,
-                download_dir=self.imports_dir, credentials=self.credentials)
+                src, self.project_dir, download_dir=self.imports_dir,
+                credentials=self.credentials)
             package = bp.open_package(archive, emitter=self.block_id)
-            published = self.output_dir / archive.name
-            if self.checksum_store.seen(package.digest) \
-                    and published.exists() \
-                    and not self.snapshot.changed(self.section_text):
+            inputs = {"import_src": package.digest}
+            # Judged by digest only: a download is always newer than any
+            # package, and a local copy keeps the mtime of its source.
+            decision = self.rebuild_decision(sources=[], inputs=inputs)
+            if not decision.rebuild:
                 return StageReport(self.block_id, "build", skipped=True)
             bp.require_contents(package, self.emitter_rule())
         except bp.PackageError as exc:
@@ -212,20 +203,22 @@ class Builder:
                 f"block '{self.block_id}' cannot import its package: "
                 f"{exc}") from exc
         self.output_dir.mkdir(parents=True, exist_ok=True)
+        published = self.output_dir / archive.name
         if archive.resolve() != published.resolve():
+            # The copy may replace the recorded package under its own name:
+            # the record goes first, so an interrupted copy is never trusted.
+            self.record_path.unlink(missing_ok=True)
             shutil.copy2(archive, published)
-        self.checksum_store.record(package.digest)
-        self.event_log.record("import")
-        self.snapshot.save(self.section_text)
+        self.commit(published.name, inputs)
         return StageReport(self.block_id, "build",
                            artifacts=[published.name],
-                           reasons=["dependency-checksum"])
+                           reasons=decision.reasons)
 
-    def finish_build(self, files: dict[str, Path]) -> bp.BlockPackage:
+    def finish_build(self, files: dict[str, Path],
+                     inputs: dict[str, str]) -> bp.BlockPackage:
         package = bp.create_package(self.block_id, self.output_dir, files,
                                     workers=self.general.effective_threads())
-        self.event_log.record("build")
-        self.snapshot.save(self.section_text)
+        self.commit(package.path.name, inputs)
         return package
 
     # -- default commands ---------------------------------------------------

@@ -12,6 +12,7 @@ from pathlib import Path
 
 from ..configedit import append_to_block_list
 from ..errors import BuilderError
+from ..incremental import EventLog
 from ..registry import BuilderDescriptor, CommandDescriptor
 from ..sources import (SourceRef, SourceState, apply_config_snippets,
                        apply_patches, create_config_snippet,
@@ -44,6 +45,10 @@ class RepoScriptBuilder(ScriptBuilder):
     def files_dir(self) -> Path:
         """Project source files of this block (patches, snippets)."""
         return self.project_dir / "src" / self.block_id
+
+    @property
+    def event_log(self) -> EventLog:
+        return EventLog(self.work_dir / "events.csv")
 
     @property
     def source_state(self) -> SourceState:

@@ -80,10 +80,14 @@ class ScriptBuilder(Builder):
         if self.spec.source_mode == "import":
             return self.run_import()
         packages = self.resolve_dependencies()
-        # Dependency archives count as sources: a freshly rebuilt dependency
-        # must propagate downstream even when its content is unchanged.
-        sources = self.source_paths() + [p.path for p in packages.values()]
-        decision = self.rebuild_decision(sources=sources, packages=packages)
+        # Local dependency archives count as sources: a freshly rebuilt
+        # dependency must propagate downstream even when its content is
+        # unchanged.  Downloads are always fresh, so only digests judge them.
+        sources = self.source_paths() + [
+            pkg.path for dep_id, pkg in packages.items()
+            if not bp.is_url(self.spec.dependencies[dep_id])]
+        inputs = {dep_id: pkg.digest for dep_id, pkg in packages.items()}
+        decision = self.rebuild_decision(sources=sources, inputs=inputs)
         if not decision.rebuild:
             return StageReport(self.block_id, "build", skipped=True)
         self.validate_dependency_contents(packages)
@@ -93,7 +97,7 @@ class ScriptBuilder(Builder):
         self.prepare_workspace(packages)
         self.run_steps(packages)
         self.stage_extras(packages)
-        package = self.finish_build(self.collect_outputs())
+        package = self.finish_build(self.collect_outputs(), inputs)
         return StageReport(self.block_id, "build", artifacts=[package.path.name],
                            reasons=decision.reasons)
 

@@ -137,11 +137,9 @@ def bundled_containerfile(image: str) -> Path:
 class EnvironmentManager:
     """Image lifecycle plus command execution for one environment spec."""
 
-    def __init__(self, spec: EnvSpec, max_threads: int = 1,
-                 event_log=None):
+    def __init__(self, spec: EnvSpec, max_threads: int = 1):
         self.spec = spec
         self.max_threads = max_threads
-        self.event_log = event_log
 
     def _image_exists(self) -> bool:
         result = _run([self.spec.tool, "image", "inspect", self.spec.image_ref],
@@ -165,8 +163,6 @@ class EnvironmentManager:
             _run([self.spec.tool, "build", "-t", self.spec.image_ref,
                   "-f", str(containerfile), str(containerfile.parent)],
                  kind="container-tool")
-            if self.event_log is not None:
-                self.event_log.record(f"image-{self.spec.image}")
         return {"built": True}
 
     def _container_path(self, host_path: Path) -> str:

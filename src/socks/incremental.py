@@ -1,20 +1,22 @@
 """Per-block incremental-build state: decide whether work can be skipped.
 
-Four mechanisms combine by OR: source-vs-output timestamps, an event log of
-successful build stages, checksums of imported archives, and byte comparison
-of the block's resolved configuration section.  Each mechanism is cheap to
-evaluate relative to the work it avoids.
+A block's build record, written only after its package is published, is
+the one commit point.  Four mechanisms combine by OR: a missing record,
+sources newer than the recorded package, input digests other than the
+recorded ones, and another configuration section text.  Each mechanism is
+cheap to evaluate relative to the work it avoids.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import logging
 import os
 import re
 import stat
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -101,10 +103,10 @@ def stale_by_timestamps(src: list[str | Path], out: list[str | Path]) -> bool:
 
 
 class EventLog:
-    """Append-only CSV of successful build-stage completions.
+    """Append-only CSV of completed checkout stages (clone, each patch).
 
-    Two columns ``stage_id,timestamp`` (seconds-precision ISO-8601 UTC); for
-    duplicate stage ids the last row wins.
+    Two columns ``stage_id,timestamp`` (seconds-precision ISO-8601 UTC).  It
+    is written as each stage completes, so it outlives a failed build.
     """
 
     def __init__(self, path: str | Path):
@@ -121,10 +123,10 @@ class EventLog:
             csv.writer(fh).writerow(
                 [stage_id, stamp.strftime("%Y-%m-%dT%H:%M:%SZ")])
 
-    def _rows(self) -> dict[str, float]:
+    def has(self, stage_id: str) -> bool:
         if not self.path.exists():
-            return {}
-        latest: dict[str, float] = {}
+            return False
+        found = False
         with open(self.path, newline="", encoding="utf-8") as fh:
             for lineno, row in enumerate(csv.reader(fh), start=1):
                 if not row:
@@ -132,83 +134,56 @@ class EventLog:
                 if len(row) != 2:
                     raise IncrementalStateError(
                         f"malformed event log row at {self.path}:{lineno}")
-                stage_id, stamp = row
                 try:
-                    ts = datetime.strptime(stamp, "%Y-%m-%dT%H:%M:%SZ")
+                    datetime.strptime(row[1], "%Y-%m-%dT%H:%M:%SZ")
                 except ValueError as exc:
                     raise IncrementalStateError(
                         f"malformed timestamp at {self.path}:{lineno}") from exc
-                latest[stage_id] = ts.replace(tzinfo=timezone.utc).timestamp()
-        return latest
-
-    def last(self, stage_id: str) -> float | None:
-        return self._rows().get(stage_id)
-
-    def has(self, stage_id: str) -> bool:
-        return stage_id in self._rows()
-
-    def fresh(self, stage_id: str, src_mtime: float | None) -> bool:
-        """True iff the stage completed at or after the given source time.
-
-        The log stores second precision while sources are compared at full
-        filesystem precision, so a stage recorded in the same second as a
-        later source change conservatively counts as stale.
-        """
-        logged = self.last(stage_id)
-        if logged is None:
-            return False
-        if src_mtime is None:
-            return True
-        return logged >= src_mtime
+                found = found or row[0] == stage_id
+        return found
 
 
-class ChecksumStore:
-    """Digests of archives already imported by a block (``imports.csv``)."""
+@dataclass(frozen=True)
+class BuildRecord:
+    """What a block's last published package was built from (``build.json``).
 
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
+    ``inputs`` maps each dependency id to the digest of the package it
+    consumed (``{"import_src": digest}`` for an imported block) and
+    ``config`` is the block's effective config section text.
+    """
 
-    def _load(self) -> dict[str, str]:
-        if not self.path.exists():
-            return {}
-        out: dict[str, str] = {}
-        with open(self.path, newline="", encoding="utf-8") as fh:
-            for lineno, row in enumerate(csv.reader(fh), start=1):
-                if not row:
-                    continue
-                if len(row) != 2:
-                    raise IncrementalStateError(
-                        f"malformed checksum row at {self.path}:{lineno}")
-                out.setdefault(row[0], row[1])
-        return out
+    package: str
+    inputs: dict[str, str]
+    config: str
 
-    def seen(self, digest: str) -> bool:
-        return digest in self._load()
+    @classmethod
+    def load(cls, path: str | Path) -> BuildRecord | None:
+        """The record at ``path``, or None when there is none."""
+        try:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+            record = cls(**data)
+        except FileNotFoundError:
+            return None
+        except (ValueError, TypeError) as exc:
+            raise IncrementalStateError(
+                f"malformed build record {path}: {exc}") from exc
+        if not (isinstance(record.package, str)
+                and isinstance(record.inputs, dict)
+                and isinstance(record.config, str)):
+            raise IncrementalStateError(f"malformed build record {path}")
+        return record
 
-    def record(self, digest: str) -> None:
-        if self.seen(digest):
-            return
-        stamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerow([digest, stamp])
-
-
-class ConfigSnapshot:
-    """Canonical text of the block's config section, saved after a
-    successful build (``config.used``)."""
-
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
-
-    def changed(self, current_text: str) -> bool:
-        if not self.path.exists():
-            return True
-        return self.path.read_text(encoding="utf-8") != current_text
-
-    def save(self, current_text: str) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.path.write_text(current_text, encoding="utf-8")
+    def save(self, path: str | Path) -> None:
+        """Write the record whole or not at all (temp file + rename)."""
+        path = Path(path)
+        partial = path.with_name(f".{path.name}.partial")
+        try:
+            text = json.dumps(asdict(self), indent=1, sort_keys=True)
+            partial.write_text(text, encoding="utf-8")
+            os.replace(partial, path)
+        except BaseException:
+            partial.unlink(missing_ok=True)
+            raise
 
 
 @dataclass
@@ -217,21 +192,24 @@ class RebuildDecision:
     reasons: list[str] = field(default_factory=list)
 
 
-def needs_rebuild(*, sources: list[str | Path], outputs: list[str | Path],
-                  required_stages: list[str], event_log: EventLog,
-                  dependency_digests: list[str], checksum_store: ChecksumStore,
-                  config_text: str, snapshot: ConfigSnapshot) -> RebuildDecision:
-    """OR-combination of all four mechanisms with the triggering reasons."""
+def needs_rebuild(*, record_path: str | Path, output_dir: str | Path,
+                  sources: list[str | Path], inputs: dict[str, str],
+                  config_text: str) -> RebuildDecision:
+    """Compare the block's build record with its current state.
+
+    No record means no committed build (``event-log:build``).  Otherwise the
+    reasons are sources newer than the recorded package (``timestamps``),
+    other input digests (``dependency-checksum``) and another config section
+    (``config``).
+    """
+    record = BuildRecord.load(record_path)
+    if record is None:
+        return RebuildDecision(rebuild=True, reasons=["event-log:build"])
     reasons: list[str] = []
-    if stale_by_timestamps(sources, outputs):
+    if stale_by_timestamps(sources, [Path(output_dir) / record.package]):
         reasons.append("timestamps")
-    for stage_id in required_stages:
-        if not event_log.has(stage_id):
-            reasons.append(f"event-log:{stage_id}")
-    for digest in dependency_digests:
-        if not checksum_store.seen(digest):
-            reasons.append("dependency-checksum")
-            break
-    if snapshot.changed(config_text):
+    if inputs != record.inputs:
+        reasons.append("dependency-checksum")
+    if config_text != record.config:
         reasons.append("config")
     return RebuildDecision(rebuild=bool(reasons), reasons=reasons)

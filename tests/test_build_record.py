@@ -1,0 +1,226 @@
+"""One commit point per block: the build record decides every skip, so an
+incremental build equals a from-scratch one after edits, reverts, restores,
+downloads and interrupts."""
+
+from __future__ import annotations
+
+import os
+import shutil
+import tarfile
+import time
+from pathlib import Path
+
+from socks import blockpackage as bp
+from socks import environment
+from socks.fixture import materialize
+from socks.graph import ALL, Invocation
+from socks.orchestrator import run
+from socks.project import Project
+
+ALL_BLOCKS = ("atf", "devicetree", "fsbl", "image", "kernel", "pmu_fw",
+              "ramfs", "rootfs", "uboot", "vivado")
+
+
+def build(project_dir: Path, target: str = ALL, group: bool = False):
+    project = Project.load(project_dir / "socks.yml")
+    return run(project, Invocation(target, "build", group=group))
+
+
+def build_ok(project_dir: Path, target: str = ALL, group: bool = False):
+    report = build(project_dir, target, group)
+    assert report.outcome == "completed", report.error
+    return report
+
+
+def rebuilt(report) -> set[str]:
+    return {entry.block_id for entry in report.entries if not entry.skipped}
+
+
+def newest_package(project_dir: Path, block_id: str) -> Path:
+    out = sorted((project_dir / "temp" / block_id / "output").glob("*.tar.gz"))
+    assert out, f"no package for {block_id}"
+    return out[-1]
+
+
+def member(package: Path, name: str) -> bytes:
+    with tarfile.open(package, "r:gz") as tar:
+        return tar.extractfile(name).read()
+
+
+def vivado_package(directory: Path, xsa_text: str,
+                   stamp: str) -> bp.BlockPackage:
+    directory.mkdir(parents=True, exist_ok=True)
+    xsa = directory / "system.xsa"
+    xsa.write_text(xsa_text, encoding="utf-8")
+    return bp.create_package("vivado", directory / "out", {"system.xsa": xsa},
+                             stamp=stamp)
+
+
+def import_vivado(project_dir: Path, import_src: str) -> None:
+    with open(project_dir / "socks.yml", "a", encoding="utf-8") as fh:
+        fh.write(f"  vivado:\n    source: import\n    project:\n"
+                 f"      import_src: {import_src}\n")
+
+
+class InterruptAtBuildSpawn:
+    """Invocation observer that raises KeyboardInterrupt at the k-th build
+    step, before it is spawned."""
+
+    def __init__(self, k: int):
+        self.k = k
+        self.seen = 0
+
+    def __call__(self, kind: str, argv: list[str]) -> None:
+        if kind == "build":
+            self.seen += 1
+            if self.seen == self.k:
+                raise KeyboardInterrupt
+
+
+def interrupted_build(project_dir: Path, k: int, target: str = ALL):
+    observer = InterruptAtBuildSpawn(k)
+    environment.add_invocation_observer(observer)
+    try:
+        report = build(project_dir, target)
+    finally:
+        environment.remove_invocation_observer(observer)
+    assert report.outcome == "interrupted"
+    return report
+
+
+def test_import_revert_publishes_the_reverted_package(project_dir, tmp_path):
+    ci = tmp_path / "ci"
+    import_vivado(project_dir, (ci / "out" /
+                                "bp_vivado_20260101T000000Z.tar.gz").as_uri())
+    # CI republishes A, then B, then A again at the same URL.
+    for rev in ("A", "B", "A"):
+        published = vivado_package(ci, f"<hardware rev='{rev}'/>\n",
+                                   "20260101T000000Z")
+        report = build_ok(project_dir, "vivado")
+        assert rebuilt(report) == {"vivado"}, rev
+        assert bp.archive_digest(newest_package(project_dir, "vivado")) \
+            == published.digest
+    again = build_ok(project_dir, "vivado")
+    assert rebuilt(again) == set()
+
+
+def test_url_dependency_is_judged_by_digest_only(project_dir, tmp_path):
+    build_ok(project_dir)
+    exported = tmp_path / "ci" / newest_package(project_dir, "vivado").name
+    exported.parent.mkdir()
+    shutil.copy2(newest_package(project_dir, "vivado"), exported)
+    config = project_dir / "project-zynqmp-default.yml"
+    config.write_text(config.read_text().replace(
+        "vivado: temp/vivado/output/bp_vivado_*.tar.gz",
+        f"vivado: {exported.as_uri()}"), encoding="utf-8")
+
+    first = build_ok(project_dir)
+    assert rebuilt(first) == {"devicetree", "fsbl", "pmu_fw", "rootfs",
+                              "image"}
+    for entry in first.entries:
+        if entry.block_id in ("devicetree", "fsbl", "pmu_fw"):
+            assert entry.reasons == ["config"], entry.block_id
+    for _ in range(2):  # every download is fresh, its digest is not
+        assert rebuilt(build_ok(project_dir)) == set()
+
+
+def test_restored_older_dependency_package_rebuilds_the_consumer(
+        project_dir, tmp_path):
+    build_ok(project_dir)
+    saved = tmp_path / newest_package(project_dir, "vivado").name
+    shutil.copy2(newest_package(project_dir, "vivado"), saved)
+    time.sleep(0.05)
+    design = project_dir / "src" / "vivado" / "design.xsa"
+    design.write_text(design.read_text() + "<revision/>\n", encoding="utf-8")
+    build_ok(project_dir)
+    assert b"<revision/>" in member(newest_package(project_dir, "devicetree"),
+                                    "system.dtb")
+
+    # Go back to the older package, mtime and all.
+    newest_package(project_dir, "vivado").unlink()
+    shutil.copy2(saved, project_dir / "temp" / "vivado" / "output")
+    report = build_ok(project_dir, "devicetree")
+    assert report.entries[0].reasons == ["dependency-checksum"]
+    assert b"<revision/>" not in member(
+        newest_package(project_dir, "devicetree"), "system.dtb")
+
+
+def test_interrupted_consumer_of_an_old_mtime_import_is_rebuilt(
+        project_dir, tmp_path):
+    build_ok(project_dir)
+    ci = vivado_package(tmp_path / "ci", "<hardware rev='ci'/>\n",
+                        "20990101T000000Z")
+    old = time.time() - 86400  # older than every package of the build
+    os.utime(ci.path, (old, old))
+    import_vivado(project_dir, str(ci.path))
+    build_ok(project_dir, "vivado")
+
+    interrupted_build(project_dir, 1, "devicetree")
+    report = build_ok(project_dir, "devicetree")
+    assert report.entries[0].skipped is False
+    assert member(newest_package(project_dir, "devicetree"),
+                  "system.dtb").startswith(b"<hardware rev='ci'/>")
+
+
+def test_import_stamped_older_than_the_local_build_is_consumed(
+        project_dir, tmp_path):
+    build_ok(project_dir)
+    ci = vivado_package(tmp_path / "ci", "<hardware rev='ci'/>\n",
+                        "20200101T000000Z")
+    import_vivado(project_dir, ci.path.as_uri())
+    build_ok(project_dir, "devicetree", group=True)
+    output = project_dir / "temp" / "vivado" / "output"
+    assert os.listdir(output) == [ci.path.name]  # the local build is pruned
+    assert member(newest_package(project_dir, "devicetree"),
+                  "system.dtb").startswith(b"<hardware rev='ci'/>")
+
+
+def edit_inputs(project_dir: Path) -> None:
+    for path, line in (
+            (project_dir / "src" / "vivado" / "design.xsa", "<revision/>\n"),
+            (project_dir / "temp" / "kernel" / "src" / "Makefile",
+             "# edit\n")):
+        path.write_text(path.read_text() + line, encoding="utf-8")
+
+
+def outputs(project_dir: Path) -> dict[str, str]:
+    """Digest of every block's newest package, plus the boot image."""
+    digests = {block: bp.archive_digest(newest_package(project_dir, block))
+               for block in ALL_BLOCKS}
+    digests["boot.img"] = member(newest_package(project_dir, "image"),
+                                 "boot.img").decode()
+    return digests
+
+
+def test_interrupt_at_every_build_spawn_equals_a_from_scratch_build(
+        tmp_path, recorder):
+    scratch = materialize(tmp_path / "scratch")
+    prepared = run(Project.load(scratch / "socks.yml"),
+                   Invocation("kernel", "prepare"))  # the checkout to edit
+    assert prepared.outcome == "completed"
+    edit_inputs(scratch)
+    build_ok(scratch)
+    expected = outputs(scratch)
+
+    base = materialize(tmp_path / "base")
+    build_ok(base)
+    time.sleep(0.05)  # edits made now are newer than every package
+
+    def edited_copy(name: str) -> Path:
+        work = tmp_path / name
+        shutil.copytree(base, work, symlinks=True)  # mtimes are kept
+        edit_inputs(work)
+        return work
+
+    uninterrupted = edited_copy("uninterrupted")
+    recorder.reset()
+    build_ok(uninterrupted)
+    spawns = recorder.count("build")
+    assert spawns >= 6
+    assert outputs(uninterrupted) == expected
+
+    for k in range(1, spawns + 1):
+        work = edited_copy(f"k{k}")
+        interrupted_build(work, k)
+        build_ok(work)
+        assert outputs(work) == expected, f"interrupted at build spawn {k}"

@@ -12,19 +12,18 @@ from socks.environment import (CONTAINER_MOUNT, HOST_TOOLS,
                                EnvironmentManager, execute_host,
                                make_env_spec)
 from socks.errors import EnvironmentError_, ProcessError
-from socks.incremental import EventLog
 
 
 def host_env(tmp_path: Path, threads: int = 2) -> EnvironmentManager:
     spec = make_env_spec(image="socks-mock-builder", tag="socks",
                          container_tool="disabled", project_dir=tmp_path)
-    return EnvironmentManager(spec, threads, EventLog(tmp_path / "events.csv"))
+    return EnvironmentManager(spec, threads)
 
 
 def container_env(tmp_path: Path) -> EnvironmentManager:
     spec = make_env_spec(image="socks-mock-builder", tag="socks",
                          container_tool="docker", project_dir=tmp_path)
-    return EnvironmentManager(spec, 2, EventLog(tmp_path / "events.csv"))
+    return EnvironmentManager(spec, 2)
 
 
 def test_whitelisted_host_command(tmp_path):

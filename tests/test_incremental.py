@@ -1,10 +1,9 @@
-"""Incremental state: timestamps, event log, checksum store, config snapshot."""
+"""Incremental state: timestamps, the checkout event log, build records."""
 
 from __future__ import annotations
 
 import os
 import time
-from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
@@ -12,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from socks.errors import IncrementalStateError
-from socks.incremental import (VCS_DIRS, ChecksumStore, ConfigSnapshot,
-                               EventLog, needs_rebuild, newest_mtime,
+from socks.incremental import (VCS_DIRS, BuildRecord, EventLog,
+                               needs_rebuild, newest_mtime,
                                stale_by_timestamps)
 
 
@@ -138,7 +137,7 @@ def test_event_log_record_and_query(tmp_path):
     assert not log.has("build")
     log.record("build")
     assert log.has("build")
-    assert log.last("build") is not None
+    assert not log.has("other")
 
 
 def test_event_log_schema(tmp_path):
@@ -153,8 +152,8 @@ def test_event_log_append_only_last_row_wins(tmp_path):
     log.record("build", when=100.0)
     log.record("build", when=200.0)
     rows = (tmp_path / "events.csv").read_text().strip().splitlines()
-    assert len(rows) == 2
-    assert log.last("build") == 200.0
+    assert rows == ["build,1970-01-01T00:01:40Z", "build,1970-01-01T00:03:20Z"]
+    assert log.has("build")
 
 
 def test_event_log_invalid_stage_id(tmp_path):
@@ -174,16 +173,6 @@ def test_event_log_malformed_rows(tmp_path):
         EventLog(path).has("build")
 
 
-def test_stage_fresh_contract(tmp_path):
-    log = EventLog(tmp_path / "events.csv")
-    log.record("stage", when=30.0)
-    assert log.fresh("stage", 20.0) is True
-    assert log.fresh("stage", 30.0) is True
-    assert log.fresh("stage", 40.0) is False
-    assert log.fresh("stage", None) is True
-    assert log.fresh("unknown", 10.0) is False
-
-
 @settings(max_examples=200, deadline=None)
 @given(events=st.lists(
     st.tuples(st.sampled_from(["a", "b", "c"]), st.floats(0, 1e9)),
@@ -191,53 +180,62 @@ def test_stage_fresh_contract(tmp_path):
 def test_event_log_last_wins_model(tmp_path_factory, events):
     path = tmp_path_factory.mktemp("log") / "events.csv"
     log = EventLog(path)
-    model: dict[str, float] = {}
+    model: set[str] = set()
     for stage_id, when in events:
         log.record(stage_id, when=when)
-        # The log stores second precision via datetime, which rounds the
-        # sub-second part to microseconds before truncating.
-        stamp = datetime.fromtimestamp(when, tz=timezone.utc)
-        model[stage_id] = stamp.replace(microsecond=0).timestamp()
-    for stage_id in ("a", "b", "c"):
-        assert log.has(stage_id) == (stage_id in model)
-        if stage_id in model:
-            assert log.last(stage_id) == model[stage_id]
+        model.add(stage_id)
+        for known in ("a", "b", "c"):
+            assert log.has(known) == (known in model)
 
 
-def test_checksum_store(tmp_path):
-    store = ChecksumStore(tmp_path / "imports.csv")
-    assert not store.seen("d1")
-    store.record("d1")
-    assert store.seen("d1")
-    store.record("d1")  # idempotent
-    assert len((tmp_path / "imports.csv").read_text().strip().splitlines()) == 1
+def test_build_record_round_trip(tmp_path):
+    path = tmp_path / "build.json"
+    assert BuildRecord.load(path) is None
+    record = BuildRecord("bp_demo_20260101T000000Z.tar.gz",
+                         {"vivado": "d1", "kernel": "d2"}, "a: 1\n")
+    record.save(path)
+    assert BuildRecord.load(path) == record
+    assert os.listdir(tmp_path) == ["build.json"]
 
 
-def test_config_snapshot(tmp_path):
-    snap = ConfigSnapshot(tmp_path / "config.used")
-    assert snap.changed("text") is True
-    snap.save("text")
-    assert snap.changed("text") is False
-    assert snap.changed("other") is True
+@pytest.mark.parametrize("text", [
+    "{not json", "[]", '{"package": "p", "inputs": {}}',
+    '{"package": "p", "inputs": [], "config": ""}',
+    '{"package": "p", "inputs": {}, "config": "", "extra": 1}'])
+def test_malformed_build_record_names_its_path(tmp_path, text):
+    path = tmp_path / "build.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(IncrementalStateError, match="build.json"):
+        BuildRecord.load(path)
 
 
-def make_state(tmp_path):
-    return (EventLog(tmp_path / "events.csv"),
-            ChecksumStore(tmp_path / "imports.csv"),
-            ConfigSnapshot(tmp_path / "config.used"))
+def test_interrupted_record_write_leaves_the_old_record(tmp_path,
+                                                       monkeypatch):
+    path = tmp_path / "build.json"
+    old = BuildRecord("old.tar.gz", {}, "")
+    old.save(path)
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(os, "replace", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        BuildRecord("new.tar.gz", {"dep": "d"}, "x").save(path)
+    monkeypatch.undo()
+    assert os.listdir(tmp_path) == ["build.json"]  # no partial file
+    assert BuildRecord.load(path) == old
 
 
 def baseline(tmp_path):
     """State in which no mechanism triggers."""
-    log, store, snap = make_state(tmp_path)
-    src = make_file(tmp_path / "src.txt", 100)
-    out = make_file(tmp_path / "out.tar.gz", 200)
-    log.record("build")
-    store.record("dep-digest")
-    snap.save("section")
-    return dict(sources=[src], outputs=[out], required_stages=["build"],
-                event_log=log, dependency_digests=["dep-digest"],
-                checksum_store=store, config_text="section", snapshot=snap)
+    make_file(tmp_path / "src.txt", 100)
+    make_file(tmp_path / "output" / "out.tar.gz", 200)
+    BuildRecord("out.tar.gz", {"dep": "dep-digest"}, "section").save(
+        tmp_path / "build.json")
+    return dict(record_path=tmp_path / "build.json",
+                output_dir=tmp_path / "output",
+                sources=[tmp_path / "src.txt"],
+                inputs={"dep": "dep-digest"}, config_text="section")
 
 
 def test_needs_rebuild_all_fresh(tmp_path):
@@ -249,19 +247,25 @@ def test_needs_rebuild_all_fresh(tmp_path):
 def test_needs_rebuild_each_mechanism(tmp_path):
     state = baseline(tmp_path)
     os.utime(state["sources"][0], (300, 300))
-    assert "timestamps" in needs_rebuild(**state).reasons
+    assert needs_rebuild(**state).reasons == ["timestamps"]
     os.utime(state["sources"][0], (100, 100))
 
-    state["required_stages"] = ["build", "extra-stage"]
-    assert "event-log:extra-stage" in needs_rebuild(**state).reasons
-    state["required_stages"] = ["build"]
-
-    state["dependency_digests"] = ["dep-digest", "new-digest"]
-    assert "dependency-checksum" in needs_rebuild(**state).reasons
-    state["dependency_digests"] = ["dep-digest"]
+    for inputs in ({"dep": "new-digest"}, {"dep": "dep-digest", "x": "d"},
+                   {}):
+        decision = needs_rebuild(**{**state, "inputs": inputs})
+        assert decision.reasons == ["dependency-checksum"]
 
     state["config_text"] = "edited section"
     assert needs_rebuild(**state).reasons == ["config"]
+    state["config_text"] = "section"
+
+    (tmp_path / "output" / "out.tar.gz").unlink()  # the recorded package
+    assert needs_rebuild(**state).reasons == ["timestamps"]
+
+    (tmp_path / "build.json").unlink()
+    decision = needs_rebuild(**state)
+    assert decision.rebuild is True
+    assert decision.reasons == ["event-log:build"]
 
 
 def test_needs_rebuild_reasons_accumulate(tmp_path):

@@ -12,6 +12,7 @@ from socks import orchestrator
 from socks.builders.base import StageReport
 from socks.errors import BuilderError, ValidationError
 from socks.graph import ALL, Invocation
+from socks.incremental import BuildRecord
 from socks.orchestrator import plan, run
 from socks.project import Project
 
@@ -172,5 +173,6 @@ def test_in_place_package_rewrite_between_runs_yields_new_digest(
     report = run(project, Invocation("devicetree", "build"))
     assert report.outcome == "completed"
     assert report.entries[0].reasons == ["dependency-checksum"]
-    imports = (project_dir / "temp" / "devicetree" / "imports.csv").read_text()
-    assert hashlib.sha256(new).hexdigest() in imports
+    record = BuildRecord.load(
+        project_dir / "temp" / "devicetree" / "build.json")
+    assert record.inputs["vivado"] == hashlib.sha256(new).hexdigest()

@@ -119,12 +119,12 @@ def test_resolve_newest_stamp_wins(tmp_path):
     files = stage_files(tmp_path)
     bp.create_package("demo", out, files, stamp="20250101T000000Z")
     newest = bp.create_package("demo", out, files, stamp="20260615T120000Z")
-    ref = bp.DependencyRef("temp/demo/output/bp_demo_*.tar.gz")
+    ref = "temp/demo/output/bp_demo_*.tar.gz"
     assert bp.resolve_dependency(ref, tmp_path) == newest.path
 
 
 def test_resolve_missing_glob_message(tmp_path):
-    ref = bp.DependencyRef("temp/demo/output/bp_demo_*.tar.gz")
+    ref = "temp/demo/output/bp_demo_*.tar.gz"
     with pytest.raises(PackageError, match="build the providing block"):
         bp.resolve_dependency(ref, tmp_path)
 
@@ -132,8 +132,8 @@ def test_resolve_missing_glob_message(tmp_path):
 def test_resolve_file_url(tmp_path):
     pkg = bp.create_package("demo", tmp_path / "out", stage_files(tmp_path),
                             stamp=FIXED_STAMP)
-    ref = bp.DependencyRef(pkg.path.resolve().as_uri())
-    assert ref.kind == "url"
+    ref = pkg.path.resolve().as_uri()
+    assert bp.is_url(ref)
     fetched = bp.resolve_dependency(ref, tmp_path, download_dir=tmp_path / "dl")
     assert fetched.read_bytes() == pkg.path.read_bytes()
 
@@ -175,18 +175,41 @@ def test_basename_matching(tmp_path):
 
 
 def test_import_extracts_once_per_digest(tmp_path):
-    from socks.incremental import ChecksumStore
     pkg = bp.create_package("demo", tmp_path / "out", stage_files(tmp_path),
                             stamp=FIXED_STAMP)
-    store = ChecksumStore(tmp_path / "imports.csv")
     dest = tmp_path / "deps"
-    first = bp.import_package(pkg, dest, store)
+    first = bp.import_package(pkg, dest)
     assert first["imported"] is True
     assert (dest / "b" / "c.txt").read_bytes() == b"beta\n"
+    assert (tmp_path / ".deps.digest").read_text() == pkg.digest
     (dest / "a.txt").unlink()
-    second = bp.import_package(pkg, dest, store)
+    second = bp.import_package(pkg, dest)
     assert second["imported"] is False
     assert not (dest / "a.txt").exists()  # skip leaves the filesystem alone
+
+
+def test_import_interrupted_at_the_swap_extracts_again(tmp_path,
+                                                       monkeypatch):
+    files = stage_files(tmp_path)
+    old = bp.create_package("demo", tmp_path / "out", files,
+                            stamp="20260101T000000Z")
+    dest = tmp_path / "deps" / "demo"
+    bp.import_package(old, dest)
+    files["a.txt"].write_bytes(b"alpha 2\n")
+    new = bp.create_package("demo", tmp_path / "out", files,
+                            stamp="20260101T000001Z")
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(os, "replace", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        bp.import_package(new, dest)
+    monkeypatch.undo()
+    # The marker went before the old tree: neither digest is trusted.
+    assert not (tmp_path / "deps" / ".demo.digest").exists()
+    assert bp.import_package(old, dest)["imported"] is True
+    assert (dest / "a.txt").read_bytes() == b"alpha\n"
 
 
 def add_bytes(tar: tarfile.TarFile, name: str, data: bytes) -> None:
@@ -227,7 +250,8 @@ def test_import_rejects_links_and_escapes(tmp_path):
     # A rejected archive leaves the previous extraction as it was.
     assert (dest / "a.txt").read_bytes() == b"alpha\n"
     assert (dest / "b" / "c.txt").read_bytes() == b"beta\n"
-    assert os.listdir(tmp_path / "deps") == ["demo"]
+    assert sorted(os.listdir(tmp_path / "deps")) == [".demo.digest", "demo"]
+    assert (tmp_path / "deps" / ".demo.digest").read_text() == good.digest
 
 
 def test_executable_mode_preserved(tmp_path):
@@ -454,5 +478,6 @@ def test_import_replaces_files_of_an_older_package(tmp_path):
     bp.import_package(fresh, dest)
     assert sorted(os.listdir(dest)) == ["a"]  # b went with its package
     assert (dest / "a").read_bytes() == b"a2"
-    assert os.listdir(tmp_path / "deps") == ["demo"]  # no staging left
+    # No staging left; the marker names the package extracted last.
+    assert sorted(os.listdir(tmp_path / "deps")) == [".demo.digest", "demo"]
     assert vars(fresh)["entries"] == ("a",)  # seeded, not read again
