@@ -434,14 +434,16 @@ def _download(url: str, dest_dir: Path, credentials: dict | None) -> Path:
 def validate_contents(pkg: BlockPackage, rule: ContentRule) -> list[str]:
     """Return the unmatched required globs (empty list means the rule holds).
 
-    Optional globs never cause a failure; they only document what a consumer
-    will pick up when present.
+    The whole member listing is read even when no glob is required, so a
+    truncated archive never passes.  Optional globs never cause a failure;
+    they only document what a consumer will pick up when present.
     """
+    entries = pkg.entries
     violations = []
     for pattern in rule.required_globs:
         if not any(fnmatch.fnmatch(entry, pattern) or
                    fnmatch.fnmatch(Path(entry).name, pattern)
-                   for entry in pkg.entries):
+                   for entry in entries):
             violations.append(pattern)
     return violations
 

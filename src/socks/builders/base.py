@@ -12,7 +12,9 @@ project folder:
         imports/      downloaded archives
         build.json    what the published package was built from, written
                       only after it is published
-        events.csv    completed checkout stages (repository blocks)
+        src/          the git checkout (repository blocks)
+        checkout.json the checkout's baseline commit and applied patches,
+                      each with its digest (repository blocks)
 """
 
 from __future__ import annotations
@@ -156,7 +158,12 @@ class Builder:
 
     def import_dependencies(self, packages: dict[str, bp.BlockPackage]) -> None:
         for dep_id, pkg in packages.items():
-            bp.import_package(pkg, self.deps_dir / dep_id)
+            try:
+                bp.import_package(pkg, self.deps_dir / dep_id)
+            except bp.PackageError as exc:
+                raise BuilderError(
+                    f"block '{self.block_id}' cannot import dependency "
+                    f"'{dep_id}': {exc}") from exc
 
     def rebuild_decision(self, *, sources: list, inputs: dict[str, str]):
         return needs_rebuild(record_path=self.record_path,

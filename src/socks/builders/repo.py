@@ -12,11 +12,10 @@ from pathlib import Path
 
 from ..configedit import append_to_block_list
 from ..errors import BuilderError
-from ..incremental import EventLog
 from ..registry import BuilderDescriptor, CommandDescriptor
-from ..sources import (SourceRef, SourceState, apply_config_snippets,
-                       apply_patches, create_config_snippet,
-                       create_patches_from_commits, sync_source)
+from ..sources import (SourceRef, apply_config_snippets, apply_patches,
+                       create_config_snippet, create_patches_from_commits,
+                       sync_source)
 from ..validation import Schema
 from .base import BUILD, CLEAN, PREPARE, START_CONTAINER, StageReport
 from .script import ScriptBuilder, ScriptProjectModel
@@ -47,14 +46,6 @@ class RepoScriptBuilder(ScriptBuilder):
         return self.project_dir / "src" / self.block_id
 
     @property
-    def event_log(self) -> EventLog:
-        return EventLog(self.work_dir / "events.csv")
-
-    @property
-    def source_state(self) -> SourceState:
-        return SourceState(self.work_dir / "source.state")
-
-    @property
     def kconfig_path(self) -> Path:
         return self.checkout_dir / self.spec.builder_specific["kconfig_file"]
 
@@ -69,8 +60,10 @@ class RepoScriptBuilder(ScriptBuilder):
         if "://" not in source and "@" not in source \
                 and not Path(source).is_absolute():
             source = str(self.project_dir / source)
-        return SourceRef(source=source, branch=srcs.get("branch", ""),
-                         checkout_dir=self.checkout_dir)
+        return SourceRef(block=self.block_id, source=source,
+                         branch=srcs.get("branch", ""),
+                         checkout_dir=self.checkout_dir,
+                         record=self.work_dir / "checkout.json")
 
     def patch_files(self) -> list[Path]:
         return [self.files_dir / name
@@ -91,12 +84,11 @@ class RepoScriptBuilder(ScriptBuilder):
 
     def sync_sources(self) -> None:
         self.work_dir.mkdir(parents=True, exist_ok=True)
-        sync_source(self.source_ref(), self.event_log, self.source_state)
-        apply_patches(self.checkout_dir, self.patch_files(), self.event_log,
-                      self.source_state)
-        snippets = self.snippet_files()
-        if snippets:
-            apply_config_snippets(self.kconfig_path, snippets)
+        ref = self.source_ref()
+        sync_source(ref)
+        apply_patches(ref, self.patch_files(),
+                      self.spec.builder_specific["kconfig_file"])
+        apply_config_snippets(self.kconfig_path, self.snippet_files())
         if self.kconfig_path.exists():
             self.kconfig_baseline.write_bytes(self.kconfig_path.read_bytes())
 
@@ -107,10 +99,8 @@ class RepoScriptBuilder(ScriptBuilder):
             raise BuilderError(
                 f"block '{self.block_id}' has no checkout yet; "
                 f"run 'prepare' or 'build' first")
-        existing = self.spec.builder_specific.get("patches", [])
         created = create_patches_from_commits(
-            self.checkout_dir, self.files_dir, len(existing),
-            self.source_state)
+            self.source_ref(), self.files_dir, self.patch_files())
         if not created:
             return StageReport(self.block_id, "create-patches", skipped=True,
                                reasons=["no new commits"])

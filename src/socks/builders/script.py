@@ -76,6 +76,11 @@ class ScriptBuilder(Builder):
     def sync_sources(self) -> None:
         """Hook for variants that fetch general source files."""
 
+    def fetched_inputs(self) -> dict[str, str]:
+        """Hook for variants that fetch more inputs: their digests, keyed
+        with a '/', which no block id holds."""
+        return {}
+
     def cmd_build(self) -> StageReport:
         if self.spec.source_mode == "import":
             return self.run_import()
@@ -87,6 +92,7 @@ class ScriptBuilder(Builder):
             pkg.path for dep_id, pkg in packages.items()
             if not bp.is_url(self.spec.dependencies[dep_id])]
         inputs = {dep_id: pkg.digest for dep_id, pkg in packages.items()}
+        inputs.update(self.fetched_inputs())
         decision = self.rebuild_decision(sources=sources, inputs=inputs)
         if not decision.rebuild:
             return StageReport(self.block_id, "build", skipped=True)
@@ -120,23 +126,27 @@ class RootfsBuilder(ScriptBuilder):
             self.project_dir / ref for ref in self.extra_package_refs()
             if not bp.is_url(ref)]
 
+    def fetched_inputs(self) -> dict[str, str]:
+        """Fetch the URL extra packages before the rebuild decision, so a
+        republish at the same URL is a changed input."""
+        try:
+            self.fetched = {
+                ref: bp._download(ref, self.imports_dir, self.credentials)
+                for ref in self.extra_package_refs() if bp.is_url(ref)}
+        except bp.PackageError as exc:
+            raise BuilderError(
+                f"block '{self.block_id}' cannot fetch an extra package: "
+                f"{exc}") from exc
+        return {f"extra_packages/{ref}": bp.archive_digest(path)
+                for ref, path in self.fetched.items()}
+
     def stage_extras(self, packages) -> None:
         lines = []
         for ref in self.extra_package_refs():
-            if bp.is_url(ref):
-                try:
-                    payload = bp._download(ref, self.imports_dir,
-                                           self.credentials)
-                except bp.PackageError as exc:
-                    raise BuilderError(
-                        f"block '{self.block_id}' cannot fetch an extra "
-                        f"package: {exc}") from exc
-            else:
-                payload = self.project_dir / ref
-                if not payload.is_file():
-                    raise BuilderError(f"extra package not found: {ref!r}")
-            digest = bp.archive_digest(payload)
-            lines.append(f"{payload.name} sha256={digest}")
+            payload = self.fetched.get(ref) or self.project_dir / ref
+            if not payload.is_file():
+                raise BuilderError(f"extra package not found: {ref!r}")
+            lines.append(f"{payload.name} sha256={bp.archive_digest(payload)}")
         (self.stage_dir / self.PACKAGES_FILE).write_text(
             "".join(line + "\n" for line in lines), encoding="utf-8")
 

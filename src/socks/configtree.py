@@ -84,6 +84,14 @@ def _collect_origins(node: Any, path: str, mark_file: str,
             _collect_origins(value, child, mark_file, value_nodes.get(key), out)
 
 
+class _Loader(yaml.SafeLoader):
+    """Safe loader that keeps an unquoted date as the text it spells."""
+
+    yaml_constructors = {**yaml.SafeLoader.yaml_constructors,
+                         "tag:yaml.org,2002:timestamp":
+                             yaml.SafeLoader.construct_yaml_str}
+
+
 def load_project(path: str | Path) -> ConfigTree:
     """Load one YAML file into a raw, unresolved tree with origin info."""
     path = Path(path)
@@ -91,7 +99,7 @@ def load_project(path: str | Path) -> ConfigTree:
         raise ConfigError(f"configuration file not found: {path}")
     text = path.read_text(encoding="utf-8")
     # One parse: the node graph gives the origins, the data is built from it.
-    loader = yaml.SafeLoader(text)
+    loader = _Loader(text)
     try:
         node = loader.get_single_node()
         data = loader.construct_document(node) if node is not None else None
@@ -220,7 +228,7 @@ def resolve_placeholders(tree: ConfigTree) -> ConfigTree:
     Iterates to a fixpoint bounded by the number of string leaves; exceeding
     the bound means a reference cycle, which is reported with its chain.
     """
-    root = json.loads(json.dumps(tree.root))  # deep copy, keeps scalars plain
+    root = _copy(tree.root)
 
     def substitute(text: str, at_path: str) -> str:
         def repl(match: re.Match) -> str:
@@ -274,6 +282,16 @@ def resolve_placeholders(tree: ConfigTree) -> ConfigTree:
                 key_path=path, origin=tree.origin(path))
     return ConfigTree(root=root, origins=dict(tree.origins),
                       source_file=tree.source_file)
+
+
+def _copy(node: Any) -> Any:
+    """Copy of the mappings and lists; keys become text, as in JSON."""
+    if isinstance(node, dict):
+        return {key if isinstance(key, str) else json.dumps(key): _copy(value)
+                for key, value in node.items()}
+    if isinstance(node, list):
+        return [_copy(value) for value in node]
+    return node
 
 
 def _set_path(root: dict, path: str, value: Any) -> None:

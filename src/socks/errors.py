@@ -97,4 +97,4 @@ class UsageError(SocksError):
 
 
 class IncrementalStateError(SocksError):
-    """Corrupt incremental-state file (event log / checksum store)."""
+    """Corrupt build record, or an unreadable source entry."""

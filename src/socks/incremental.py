@@ -9,22 +9,18 @@ cheap to evaluate relative to the work it avoids.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 import os
-import re
 import stat
 import time
 from dataclasses import asdict, dataclass, field
-from datetime import datetime, timezone
 from pathlib import Path
 
 from .errors import IncrementalStateError
 
 log = logging.getLogger(__name__)
 
-STAGE_ID_RE = re.compile(r"^[a-z0-9_-]+$")
 VCS_DIRS = {".git", ".hg", ".svn"}
 
 # Wall-clock tolerance before a source mtime counts as "in the future".
@@ -102,47 +98,6 @@ def stale_by_timestamps(src: list[str | Path], out: list[str | Path]) -> bool:
     return src_mtime > out_mtime
 
 
-class EventLog:
-    """Append-only CSV of completed checkout stages (clone, each patch).
-
-    Two columns ``stage_id,timestamp`` (seconds-precision ISO-8601 UTC).  It
-    is written as each stage completes, so it outlives a failed build.
-    """
-
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
-
-    def record(self, stage_id: str, when: float | None = None) -> None:
-        if not STAGE_ID_RE.match(stage_id):
-            raise IncrementalStateError(
-                f"invalid stage id {stage_id!r}; allowed charset is [a-z0-9_-]")
-        stamp = datetime.fromtimestamp(when if when is not None else time.time(),
-                                       tz=timezone.utc)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerow(
-                [stage_id, stamp.strftime("%Y-%m-%dT%H:%M:%SZ")])
-
-    def has(self, stage_id: str) -> bool:
-        if not self.path.exists():
-            return False
-        found = False
-        with open(self.path, newline="", encoding="utf-8") as fh:
-            for lineno, row in enumerate(csv.reader(fh), start=1):
-                if not row:
-                    continue
-                if len(row) != 2:
-                    raise IncrementalStateError(
-                        f"malformed event log row at {self.path}:{lineno}")
-                try:
-                    datetime.strptime(row[1], "%Y-%m-%dT%H:%M:%SZ")
-                except ValueError as exc:
-                    raise IncrementalStateError(
-                        f"malformed timestamp at {self.path}:{lineno}") from exc
-                found = found or row[0] == stage_id
-        return found
-
-
 @dataclass(frozen=True)
 class BuildRecord:
     """What a block's last published package was built from (``build.json``).
@@ -174,16 +129,20 @@ class BuildRecord:
         return record
 
     def save(self, path: str | Path) -> None:
-        """Write the record whole or not at all (temp file + rename)."""
-        path = Path(path)
-        partial = path.with_name(f".{path.name}.partial")
-        try:
-            text = json.dumps(asdict(self), indent=1, sort_keys=True)
-            partial.write_text(text, encoding="utf-8")
-            os.replace(partial, path)
-        except BaseException:
-            partial.unlink(missing_ok=True)
-            raise
+        write_json(path, asdict(self))
+
+
+def write_json(path: str | Path, data) -> None:
+    """Write ``data`` as JSON whole or not at all (temp file + rename)."""
+    path = Path(path)
+    partial = path.with_name(f".{path.name}.partial")
+    try:
+        partial.write_text(json.dumps(data, indent=1, sort_keys=True),
+                           encoding="utf-8")
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 @dataclass

@@ -9,80 +9,97 @@ reproduces the exact same tree.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
 
 from .environment import execute_host
 from .errors import ProcessError, SourceError
-from .incremental import EventLog
+from .incremental import write_json
 
-SYNC_STAGE = "source-sync"
-
-KCONFIG_SET_RE = re.compile(r"^([A-Za-z0-9_]+)=(.*)$")
-KCONFIG_UNSET_RE = re.compile(r"^# ([A-Za-z0-9_]+) is not set$")
+KCONFIG_LINE_RE = re.compile(
+    r"^(?:([A-Za-z0-9_]+)=.*|# ([A-Za-z0-9_]+) is not set)$")
 
 
 @dataclass(frozen=True)
 class SourceRef:
+    """A block's git checkout and its record (``checkout.json``): the
+    commit after which local commits count as new, and the patches applied,
+    in order, each with its digest."""
+
+    block: str
     source: str          # URL or local path to a git repository
     branch: str
     checkout_dir: Path
+    record: Path
 
 
 def _git(checkout: Path, *args: str, check: bool = True):
     return execute_host(["git", "-C", str(checkout), *args], check=check)
 
 
-def sanitize_stage_id(name: str) -> str:
-    return re.sub(r"[^a-z0-9_-]", "-", name.lower())
-
-
-class SourceState:
-    """Small key=value sidecar pinning the patch-application baseline commit."""
-
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
-
-    def load(self) -> dict[str, str]:
-        if not self.path.exists():
-            return {}
-        out = {}
-        for line in self.path.read_text(encoding="utf-8").splitlines():
-            if "=" in line:
-                key, value = line.split("=", 1)
-                out[key] = value
-        return out
-
-    def save(self, values: dict[str, str]) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.path.write_text(
-            "".join(f"{k}={v}\n" for k, v in sorted(values.items())),
-            encoding="utf-8")
-
-    def update(self, **values: str) -> None:
-        data = self.load()
-        data.update(values)
-        self.save(data)
-
-
 def head_commit(checkout: Path) -> str:
     return _git(checkout, "rev-parse", "HEAD").stdout.strip()
 
 
-def sync_source(ref: SourceRef, event_log: EventLog,
-                state: SourceState) -> None:
-    """Clone the repository if absent; never silently switch branches."""
+def _clean_first(ref: SourceRef, problem: str) -> SourceError:
+    return SourceError(
+        f"checkout {ref.checkout_dir} {problem}; clean the block "
+        f"('socks {ref.block} clean') and build again")
+
+
+def _load_record(ref: SourceRef) -> dict:
+    """The checkout's record; a checkout without a valid one is never
+    trusted, whether its clone was interrupted or an older socks made it."""
+    try:
+        record = json.loads(ref.record.read_text(encoding="utf-8"))
+        if isinstance(record["baseline"], str) and all(
+                isinstance(name, str) and isinstance(digest, str)
+                for name, digest in record["patches"]):
+            return record
+    except (OSError, ValueError, TypeError, KeyError):
+        pass
+    raise _clean_first(ref, f"has no valid record {ref.record}")
+
+
+def _series(patches: list[Path]) -> list[list[str]]:
+    """``[name, sha256]`` of each patch file, in order."""
+    for patch in patches:
+        if not patch.is_file():
+            raise SourceError(f"patch file not found: {patch}")
+    return [[patch.name, hashlib.sha256(patch.read_bytes()).hexdigest()]
+            for patch in patches]
+
+
+def _unapplied(ref: SourceRef, record: dict,
+               series: list[list[str]]) -> list[list[str]]:
+    """The tail of ``series`` beyond the recorded patches, which must be its
+    unchanged prefix."""
+    for index, applied in enumerate(record["patches"]):
+        if index >= len(series) or series[index] != applied:
+            raise _clean_first(
+                ref, f"carries patch {applied[0]}, which the configured "
+                     f"series no longer lists unchanged at position "
+                     f"{index + 1} (edited, removed or reordered)")
+    return series[len(record["patches"]):]
+
+
+def sync_source(ref: SourceRef) -> None:
+    """Clone the repository if absent; never silently switch branches or
+    reuse a checkout that has no record."""
     checkout = ref.checkout_dir
     if (checkout / ".git").exists():
         current = _git(checkout, "rev-parse", "--abbrev-ref",
                        "HEAD").stdout.strip()
         if ref.branch and current != ref.branch:
-            raise SourceError(
-                f"checkout {checkout} is on branch '{current}' but the "
-                f"configuration requires '{ref.branch}'; clean the block to "
-                f"re-clone")
+            raise _clean_first(
+                ref, f"is on branch '{current}' but the configuration "
+                     f"requires '{ref.branch}'")
+        _load_record(ref)
         return
+    ref.record.unlink(missing_ok=True)
     checkout.parent.mkdir(parents=True, exist_ok=True)
     branch_args = ["--branch", ref.branch] if ref.branch else []
     try:
@@ -95,65 +112,78 @@ def sync_source(ref: SourceRef, event_log: EventLog,
     if not _git(checkout, "config", "user.email", check=False).stdout.strip():
         _git(checkout, "config", "user.name", "socks")
         _git(checkout, "config", "user.email", "socks@localhost")
-    event_log.record(SYNC_STAGE)
-    state.update(branch=ref.branch, commit=head_commit(checkout),
-                 baseline=head_commit(checkout))
+    write_json(ref.record, {"baseline": head_commit(checkout), "patches": []})
 
 
-def apply_patches(checkout: Path, patches: list[Path], event_log: EventLog,
-                  state: SourceState) -> list[str]:
-    """Apply patches in list order as commits; already-applied ones (per the
-    event log) are never re-applied."""
+def apply_patches(ref: SourceRef, patches: list[Path],
+                  kconfig_file: str) -> list[str]:
+    """Apply, each as one commit recorded as it lands, the ``patches``
+    beyond the recorded ones, which must be their unchanged prefix by name
+    and digest (else the checkout must be cleaned).  The check for local
+    changes ignores ``kconfig_file``, which the snippets rewrite on every
+    sync; ``git am`` still refuses a patch that touches a dirty file."""
+    checkout = ref.checkout_dir
+    record = _load_record(ref)
+    pending = _unapplied(ref, record, _series(patches))
     applied = []
-    for patch in patches:
-        stage_id = "patch-" + sanitize_stage_id(patch.name)
-        if event_log.has(stage_id):
-            continue
-        status = _git(checkout, "status", "--porcelain").stdout.strip()
+    for patch, entry in zip(patches[len(patches) - len(pending):], pending):
+        status = _git(checkout, "status", "--porcelain", "--", ".",
+                      f":(exclude){kconfig_file}").stdout.strip()
         if status:
             raise SourceError(
                 f"checkout {checkout} has unstaged changes; refusing to "
                 f"apply {patch.name}")
-        if not patch.exists():
-            raise SourceError(f"patch file not found: {patch}")
         try:
             _git(checkout, "am", str(patch.resolve()))
         except ProcessError as exc:
             _git(checkout, "am", "--abort", check=False)
             raise SourceError(
                 f"patch {patch.name} does not apply: {exc}") from exc
-        event_log.record(stage_id)
+        record["patches"].append(entry)
+        record["baseline"] = head_commit(checkout)
+        write_json(ref.record, record)
         applied.append(patch.name)
-    if applied:
-        state.update(baseline=head_commit(checkout))
     return applied
 
 
-def create_patches_from_commits(checkout: Path, patches_dir: Path,
-                                existing_count: int,
-                                state: SourceState) -> list[str]:
-    """Export commits beyond the last patch baseline as numbered patch files.
+def create_patches_from_commits(ref: SourceRef, patches_dir: Path,
+                                patches: list[Path]) -> list[str]:
+    """Export the commits beyond the recorded baseline as patch files
+    numbered after the configured ``patches``, and record them as applied:
+    they already are HEAD's commits.
 
     Returns the created file names (empty when there is nothing new).
     """
-    baseline = state.load().get("baseline")
-    if not baseline:
-        baseline = _git(checkout, "rev-list", "--max-parents=0",
-                        "HEAD").stdout.strip().splitlines()[0]
+    checkout = ref.checkout_dir
+    record = _load_record(ref)
+    pending = _unapplied(ref, record, _series(patches))
+    if pending:
+        raise SourceError(
+            f"patch {pending[0][0]} is configured but not applied to "
+            f"checkout {checkout}; build the block before exporting commits")
+    baseline = record["baseline"]
     count = int(_git(checkout, "rev-list", "--count",
                      f"{baseline}..HEAD").stdout.strip())
     if count == 0:
         return []
     patches_dir.mkdir(parents=True, exist_ok=True)
     result = _git(checkout, "format-patch",
-                  "--start-number", str(existing_count + 1),
+                  "--start-number", str(len(patches) + 1),
                   "-o", str(patches_dir.resolve()), f"{baseline}..HEAD")
-    created = [Path(line).name for line in result.stdout.strip().splitlines()]
-    state.update(baseline=head_commit(checkout))
-    return created
+    created = [Path(line) for line in result.stdout.strip().splitlines()]
+    record["patches"] += _series(created)
+    record["baseline"] = head_commit(checkout)
+    write_json(ref.record, record)
+    return [path.name for path in created]
 
 
 # --- Kconfig-style snippet handling -------------------------------------
+
+def _kconfig_key(line: str) -> str | None:
+    """The option a stripped line sets or unsets, or None."""
+    match = KCONFIG_LINE_RE.match(line)
+    return (match.group(1) or match.group(2)) if match else None
+
 
 def parse_kconfig_lines(text: str, *, strict: bool,
                         origin: str = "") -> dict[str, str]:
@@ -162,17 +192,10 @@ def parse_kconfig_lines(text: str, *, strict: bool,
     entries: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
-        if not stripped:
-            continue
-        match = KCONFIG_SET_RE.match(stripped)
-        if match:
-            entries[match.group(1)] = stripped
-            continue
-        match = KCONFIG_UNSET_RE.match(stripped)
-        if match:
-            entries[match.group(1)] = stripped
-            continue
-        if strict:
+        key = _kconfig_key(stripped)
+        if key is not None:
+            entries[key] = stripped
+        elif strict and stripped:
             raise SourceError(
                 f"invalid snippet line {lineno} in {origin or 'snippet'}: "
                 f"{stripped!r}")
@@ -193,22 +216,10 @@ def apply_config_snippets(config_file: Path, snippets: list[Path]) -> None:
             snippet.read_text(encoding="utf-8"), strict=True,
             origin=str(snippet)))
     lines = config_file.read_text(encoding="utf-8").splitlines()
-    seen: set[str] = set()
-    out: list[str] = []
-    for line in lines:
-        key = None
-        stripped = line.strip()
-        match = KCONFIG_SET_RE.match(stripped) or KCONFIG_UNSET_RE.match(stripped)
-        if match:
-            key = match.group(1)
-        if key is not None and key in overrides:
-            out.append(overrides[key])
-            seen.add(key)
-        else:
-            out.append(line)
-    for key, line in overrides.items():
-        if key not in seen:
-            out.append(line)
+    keys = [_kconfig_key(line.strip()) for line in lines]
+    out = [overrides.get(key, line) for key, line in zip(keys, lines)]
+    present = set(keys)
+    out += [line for key, line in overrides.items() if key not in present]
     config_file.write_text("\n".join(out) + "\n", encoding="utf-8")
 
 

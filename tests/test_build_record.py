@@ -4,14 +4,16 @@ downloads and interrupts."""
 
 from __future__ import annotations
 
+import hashlib
 import os
+import random
 import shutil
 import tarfile
 import time
 from pathlib import Path
 
 from socks import blockpackage as bp
-from socks import environment
+from socks import cli, environment
 from socks.fixture import materialize
 from socks.graph import ALL, Invocation
 from socks.orchestrator import run
@@ -173,6 +175,61 @@ def test_import_stamped_older_than_the_local_build_is_consumed(
     assert os.listdir(output) == [ci.path.name]  # the local build is pruned
     assert member(newest_package(project_dir, "devicetree"),
                   "system.dtb").startswith(b"<hardware rev='ci'/>")
+
+
+def test_truncated_import_without_emits_rule_is_refused(project_dir,
+                                                        tmp_path, capsys):
+    payload = tmp_path / "bl31.elf"
+    payload.write_bytes(random.Random(7).randbytes(256 << 10))
+    ci = bp.create_package("atf", tmp_path / "ci", {"bl31.elf": payload},
+                           stamp="20260101T000000Z").path
+    data = ci.read_bytes()
+    ci.write_bytes(data[:len(data) // 2])  # valid head, cut tail
+    with open(project_dir / "socks.yml", "a", encoding="utf-8") as fh:
+        fh.write(f"  atf:\n    source: import\n    project:\n"
+                 f"      import_src: {ci.as_uri()}\n")
+    config = str(project_dir / "socks.yml")
+    assert cli.main(["-f", config, "atf", "build"]) == 2
+    assert "block 'atf' cannot import its package" in capsys.readouterr().err
+    work = project_dir / "temp" / "atf"
+    assert not list(work.glob("output/*.tar.gz"))
+    assert not (work / "build.json").exists()
+
+
+def test_truncated_dependency_fails_extraction_with_exit_2(project_dir,
+                                                          capsys):
+    # An incompressible source makes a package whose head survives the cut.
+    source = project_dir / "src" / "atf" / "bl31.c"
+    source.write_bytes(random.Random(8).randbytes(256 << 10))
+    build_ok(project_dir)
+    published = newest_package(project_dir, "atf")
+    data = published.read_bytes()
+    published.write_bytes(data[:len(data) // 2])
+    config = str(project_dir / "socks.yml")
+    assert cli.main(["-f", config, "image", "-g", "build"]) == 2
+    assert "block 'image' cannot import dependency 'atf'" \
+        in capsys.readouterr().err
+
+
+def test_url_extra_package_republish_rebuilds_the_rootfs(project_dir,
+                                                        tmp_path):
+    extra = tmp_path / "ci" / "net-3.0.pkg"
+    extra.parent.mkdir()
+    extra.write_bytes(b"net 3.0 build 1\n")
+    config = project_dir / "project-zynqmp-default.yml"
+    config.write_text(config.read_text().replace(
+        "        - payloads/lib-2.1.pkg\n",
+        f"        - payloads/lib-2.1.pkg\n        - {extra.as_uri()}\n"),
+        encoding="utf-8")
+    build_ok(project_dir, "rootfs", group=True)
+
+    extra.write_bytes(b"net 3.0 build 2\n")  # CI republishes at the URL
+    report = build_ok(project_dir, "rootfs")
+    assert report.entries[0].reasons == ["dependency-checksum"]
+    digest = hashlib.sha256(b"net 3.0 build 2\n").hexdigest()
+    listing = member(newest_package(project_dir, "rootfs"), "packages.txt")
+    assert f"net-3.0.pkg sha256={digest}" in listing.decode()
+    assert rebuilt(build_ok(project_dir, "rootfs")) == set()
 
 
 def edit_inputs(project_dir: Path) -> None:

@@ -216,6 +216,27 @@ def test_main_show_config(project_dir, capsys):
     assert "{{" not in out
 
 
+def test_unquoted_date_is_kept_as_the_text_it_spells(project_dir, capsys):
+    config = project_dir / "socks.yml"
+    config.write_text(config.read_text().replace(
+        "  name: zynqmp-mock\n",
+        '  name: "zynqmp-{{project/released}}"\n  released: 2024-01-01\n'),
+        encoding="utf-8")
+    assert cli.main(["-f", str(config), "--show-config"]) == 0
+    out = capsys.readouterr().out
+    assert 'name: "zynqmp-2024-01-01"' in out
+    assert 'released: "2024-01-01"' in out
+
+
+def test_binary_value_breaks_neither_config_nor_build(project_dir, capsys):
+    config = project_dir / "socks.yml"
+    with open(config, "a", encoding="utf-8") as fh:
+        fh.write("\nnotes: !!binary aGVsbG8=\n")
+    assert cli.main(["-f", str(config), "--show-config"]) == 0
+    assert "notes: b'hello'" in capsys.readouterr().out
+    assert cli.main(["-f", str(config), "all", "build"]) == 0
+
+
 def test_block_help_via_main(project_dir, capsys):
     assert run_cli(project_dir, "kernel", "--help") == 0
     out = capsys.readouterr().out

@@ -1,4 +1,4 @@
-"""Incremental state: timestamps, the checkout event log, build records."""
+"""Incremental state: timestamps and build records."""
 
 from __future__ import annotations
 
@@ -11,9 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from socks.errors import IncrementalStateError
-from socks.incremental import (VCS_DIRS, BuildRecord, EventLog,
-                               needs_rebuild, newest_mtime,
-                               stale_by_timestamps)
+from socks.incremental import (VCS_DIRS, BuildRecord, needs_rebuild,
+                               newest_mtime, stale_by_timestamps)
 
 
 def make_file(path: Path, mtime: float) -> Path:
@@ -130,62 +129,6 @@ def test_future_mtime_counts_as_stale(tmp_path):
     out = make_file(tmp_path / "out.txt", time.time() + 1000)
     src = make_file(tmp_path / "src.txt", time.time() + 500)
     assert stale_by_timestamps([src], [out]) is True
-
-
-def test_event_log_record_and_query(tmp_path):
-    log = EventLog(tmp_path / "events.csv")
-    assert not log.has("build")
-    log.record("build")
-    assert log.has("build")
-    assert not log.has("other")
-
-
-def test_event_log_schema(tmp_path):
-    log = EventLog(tmp_path / "events.csv")
-    log.record("source-sync", when=1767225600.0)  # 2026-01-01T00:00:00Z
-    line = (tmp_path / "events.csv").read_text().strip()
-    assert line == "source-sync,2026-01-01T00:00:00Z"
-
-
-def test_event_log_append_only_last_row_wins(tmp_path):
-    log = EventLog(tmp_path / "events.csv")
-    log.record("build", when=100.0)
-    log.record("build", when=200.0)
-    rows = (tmp_path / "events.csv").read_text().strip().splitlines()
-    assert rows == ["build,1970-01-01T00:01:40Z", "build,1970-01-01T00:03:20Z"]
-    assert log.has("build")
-
-
-def test_event_log_invalid_stage_id(tmp_path):
-    log = EventLog(tmp_path / "events.csv")
-    for bad in ("Build", "has space", "Ümlaut", ""):
-        with pytest.raises(IncrementalStateError):
-            log.record(bad)
-
-
-def test_event_log_malformed_rows(tmp_path):
-    path = tmp_path / "events.csv"
-    path.write_text("build,2026-01-01T00:00:00Z,extra\n")
-    with pytest.raises(IncrementalStateError, match="malformed"):
-        EventLog(path).has("build")
-    path.write_text("build,not-a-timestamp\n")
-    with pytest.raises(IncrementalStateError, match="timestamp"):
-        EventLog(path).has("build")
-
-
-@settings(max_examples=200, deadline=None)
-@given(events=st.lists(
-    st.tuples(st.sampled_from(["a", "b", "c"]), st.floats(0, 1e9)),
-    max_size=20))
-def test_event_log_last_wins_model(tmp_path_factory, events):
-    path = tmp_path_factory.mktemp("log") / "events.csv"
-    log = EventLog(path)
-    model: set[str] = set()
-    for stage_id, when in events:
-        log.record(stage_id, when=when)
-        model.add(stage_id)
-        for known in ("a", "b", "c"):
-            assert log.has(known) == (known in model)
 
 
 def test_build_record_round_trip(tmp_path):

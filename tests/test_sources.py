@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import subprocess
 from pathlib import Path
 
@@ -10,11 +12,9 @@ import pytest
 from helpers import tree_digest
 from socks.errors import SourceError
 from socks.fixture import create_kernel_origin
-from socks.incremental import EventLog
-from socks.sources import (SourceRef, SourceState, apply_config_snippets,
-                           apply_patches, create_config_snippet,
-                           create_patches_from_commits, parse_kconfig_lines,
-                           sync_source)
+from socks.sources import (SourceRef, apply_config_snippets, apply_patches,
+                           create_config_snippet, create_patches_from_commits,
+                           parse_kconfig_lines, sync_source)
 
 BRANCH = "xilinx-v2022.2"
 
@@ -31,12 +31,14 @@ def origin(tmp_path) -> Path:
 
 
 @pytest.fixture
-def workspace(tmp_path, origin):
-    checkout = tmp_path / "work" / "src"
-    ref = SourceRef(source=str(origin), branch=BRANCH, checkout_dir=checkout)
-    log = EventLog(tmp_path / "work" / "events.csv")
-    state = SourceState(tmp_path / "work" / "source.state")
-    return ref, log, state
+def ref(tmp_path, origin) -> SourceRef:
+    return SourceRef(block="kernel", source=str(origin), branch=BRANCH,
+                     checkout_dir=tmp_path / "work" / "src",
+                     record=tmp_path / "work" / "checkout.json")
+
+
+def record(ref: SourceRef) -> dict:
+    return json.loads(ref.record.read_text(encoding="utf-8"))
 
 
 def commit_file(repo: Path, name: str, content: str, message: str) -> None:
@@ -46,41 +48,39 @@ def commit_file(repo: Path, name: str, content: str, message: str) -> None:
     git(repo, "commit", "-q", "-m", message)
 
 
-def test_sync_clones_and_records(workspace):
-    ref, log, state = workspace
-    sync_source(ref, log, state)
+def test_sync_clones_and_records(ref):
+    sync_source(ref)
     assert (ref.checkout_dir / ".git").exists()
     assert (ref.checkout_dir / "Makefile").exists()
-    assert log.has("source-sync")
-    data = state.load()
-    assert data["branch"] == BRANCH
-    assert data["commit"] == data["baseline"]
+    assert record(ref) == {"baseline": git(ref.checkout_dir, "rev-parse",
+                                           "HEAD").strip(),
+                           "patches": []}
 
 
-def test_sync_existing_checkout_noop(workspace, recorder):
-    ref, log, state = workspace
-    sync_source(ref, log, state)
+def test_sync_existing_checkout_noop(ref, recorder):
+    sync_source(ref)
     recorder.reset()
-    sync_source(ref, log, state)
+    sync_source(ref)
     clones = [argv for _, argv in recorder.calls if "clone" in argv]
     assert clones == []
 
 
-def test_sync_never_switches_branch(workspace):
-    ref, log, state = workspace
-    sync_source(ref, log, state)
-    other = SourceRef(source=ref.source, branch="other-branch",
-                      checkout_dir=ref.checkout_dir)
+def test_sync_never_switches_branch(ref):
+    sync_source(ref)
+    other = SourceRef(block=ref.block, source=ref.source,
+                      branch="other-branch", checkout_dir=ref.checkout_dir,
+                      record=ref.record)
     with pytest.raises(SourceError, match="clean the block"):
-        sync_source(other, log, state)
+        sync_source(other)
 
 
 def test_sync_bad_source(tmp_path):
-    ref = SourceRef(source=str(tmp_path / "nope"), branch="",
-                    checkout_dir=tmp_path / "co")
+    ref = SourceRef(block="kernel", source=str(tmp_path / "nope"),
+                    branch="", checkout_dir=tmp_path / "co",
+                    record=tmp_path / "checkout.json")
     with pytest.raises(SourceError, match="clone failed"):
-        sync_source(ref, EventLog(tmp_path / "e.csv"),
-                    SourceState(tmp_path / "s"))
+        sync_source(ref)
+    assert not ref.record.exists()
 
 
 def make_patches(origin: Path, tmp_path: Path, count: int) -> list[Path]:
@@ -100,67 +100,109 @@ def make_patches(origin: Path, tmp_path: Path, count: int) -> list[Path]:
     return sorted(out.iterdir())
 
 
-def test_apply_patches_in_order(workspace, tmp_path, origin):
-    ref, log, state = workspace
-    sync_source(ref, log, state)
+def test_apply_patches_in_order(ref, tmp_path, origin):
+    sync_source(ref)
     patches = make_patches(origin, tmp_path, 3)
-    applied = apply_patches(ref.checkout_dir, patches, log, state)
+    applied = apply_patches(ref, patches, ".config")
     assert applied == [p.name for p in patches]
     text = (ref.checkout_dir / "series.txt").read_text()
     assert text == "line 0\nline 1\nline 2\n"
-    assert state.load()["baseline"] == git(
-        ref.checkout_dir, "rev-parse", "HEAD").strip()
+    assert record(ref) == {
+        "baseline": git(ref.checkout_dir, "rev-parse", "HEAD").strip(),
+        "patches": [[p.name, hashlib.sha256(p.read_bytes()).hexdigest()]
+                    for p in patches]}
 
 
-def test_apply_patches_idempotent_via_event_log(workspace, tmp_path, origin,
+def test_apply_patches_idempotent_via_event_log(ref, tmp_path, origin,
                                                 recorder):
-    ref, log, state = workspace
-    sync_source(ref, log, state)
+    sync_source(ref)
     patches = make_patches(origin, tmp_path, 2)
-    apply_patches(ref.checkout_dir, patches, log, state)
+    apply_patches(ref, patches, ".config")
     recorder.reset()
-    assert apply_patches(ref.checkout_dir, patches, log, state) == []
+    assert apply_patches(ref, patches, ".config") == []
     ams = [argv for _, argv in recorder.calls if "am" in argv]
     assert ams == []
 
 
-def test_apply_patches_refuses_unstaged_changes(workspace, tmp_path, origin):
-    ref, log, state = workspace
-    sync_source(ref, log, state)
+def test_apply_patches_refuses_unstaged_changes(ref, tmp_path, origin):
+    sync_source(ref)
     patches = make_patches(origin, tmp_path, 1)
     (ref.checkout_dir / "Makefile").write_text("dirty\n", encoding="utf-8")
     with pytest.raises(SourceError, match="unstaged"):
-        apply_patches(ref.checkout_dir, patches, log, state)
+        apply_patches(ref, patches, ".config")
 
 
-def test_apply_patches_aborts_cleanly_on_conflict(workspace, tmp_path, origin):
-    ref, log, state = workspace
-    sync_source(ref, log, state)
+def test_apply_patches_aborts_cleanly_on_conflict(ref, tmp_path, origin):
+    sync_source(ref)
     patches = make_patches(origin, tmp_path, 2)
     # Applying only the second patch of a dependent series must fail.
     with pytest.raises(SourceError, match="does not apply"):
-        apply_patches(ref.checkout_dir, [patches[1]], log, state)
+        apply_patches(ref, [patches[1]], ".config")
     assert git(ref.checkout_dir, "status", "--porcelain").strip() == ""
 
 
-def test_apply_missing_patch_file(workspace, tmp_path):
-    ref, log, state = workspace
-    sync_source(ref, log, state)
+def test_apply_missing_patch_file(ref, tmp_path):
+    sync_source(ref)
     with pytest.raises(SourceError, match="not found"):
-        apply_patches(ref.checkout_dir, [tmp_path / "ghost.patch"], log, state)
+        apply_patches(ref, [tmp_path / "ghost.patch"], ".config")
 
 
-def test_create_patches_roundtrip(workspace, tmp_path):
-    ref, log, state = workspace
-    sync_source(ref, log, state)
+def test_create_patches_roundtrip(ref, tmp_path, origin):
+    sync_source(ref)
+    patches = make_patches(origin, tmp_path, 1)
+    apply_patches(ref, patches, ".config")
     commit_file(ref.checkout_dir, "new1.c", "int one;\n", "first change")
     commit_file(ref.checkout_dir, "new2.c", "int two;\n", "second change")
     out_dir = tmp_path / "exported"
-    created = create_patches_from_commits(ref.checkout_dir, out_dir, 1, state)
+    created = create_patches_from_commits(ref, out_dir, patches)
     assert created == ["0002-first-change.patch", "0003-second-change.patch"]
-    # Baseline moved: a second export finds nothing new.
-    assert create_patches_from_commits(ref.checkout_dir, out_dir, 3,
-                                       state) == []
+    # The exported commits are already applied: the record lists them, and
+    # a second export finds nothing new.
+    patches += [out_dir / name for name in created]
+    assert [name for name, _ in record(ref)["patches"]] == \
+        [p.name for p in patches]
+    assert apply_patches(ref, patches, ".config") == []
+    assert create_patches_from_commits(ref, out_dir, patches) == []
+
+
+def test_create_patches_needs_the_configured_series_applied(ref, tmp_path,
+                                                            origin):
+    sync_source(ref)
+    patches = make_patches(origin, tmp_path, 1)
+    commit_file(ref.checkout_dir, "new1.c", "int one;\n", "first change")
+    with pytest.raises(SourceError, match="build the block"):
+        create_patches_from_commits(ref, tmp_path / "exported", patches)
+
+
+@pytest.mark.parametrize("series", ["edited", "removed", "reordered"])
+def test_changed_series_asks_for_a_clean(ref, tmp_path, origin, recorder,
+                                         series):
+    sync_source(ref)
+    patches = make_patches(origin, tmp_path, 2)
+    apply_patches(ref, patches, ".config")
+    if series == "edited":
+        patches[0].write_text(patches[0].read_text() + "\n",
+                              encoding="utf-8")
+    changed = {"edited": patches, "removed": patches[1:],
+               "reordered": patches[::-1]}[series]
+    recorder.reset()
+    with pytest.raises(SourceError, match="clean the block") as exc:
+        apply_patches(ref, changed, ".config")
+    assert patches[0].name in str(exc.value)
+    assert "'socks kernel clean'" in str(exc.value)
+    assert recorder.calls == []
+
+
+@pytest.mark.parametrize("state", ["missing", "malformed"])
+def test_checkout_without_a_valid_record_is_refused(ref, state):
+    sync_source(ref)
+    if state == "missing":
+        ref.record.unlink()
+    else:
+        ref.record.write_text('{"baseline": 1}', encoding="utf-8")
+    with pytest.raises(SourceError, match="no valid record") as exc:
+        sync_source(ref)
+    assert str(ref.record) in str(exc.value)
 
 
 def test_parse_kconfig_lines():
@@ -231,9 +273,8 @@ def test_create_config_snippet_no_change(tmp_path):
     assert not out.exists()
 
 
-def test_tree_digest_excludes_git(workspace):
-    ref, log, state = workspace
-    sync_source(ref, log, state)
+def test_tree_digest_excludes_git(ref):
+    sync_source(ref)
     before = tree_digest(ref.checkout_dir)
     # Touching VCS metadata must not change the digest.
     (ref.checkout_dir / ".git" / "marker").write_text("x", encoding="utf-8")
