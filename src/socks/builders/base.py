@@ -133,11 +133,11 @@ class Builder:
                 archive = bp.resolve_dependency(
                     self.spec.dependencies[dep_id], self.project_dir, download_dir=self.imports_dir,
                     credentials=self.credentials)
+                resolved[dep_id] = bp.open_package(archive, emitter=dep_id)
             except bp.PackageError as exc:
                 raise BuilderError(
                     f"block '{self.block_id}' cannot resolve dependency "
                     f"'{dep_id}': {exc}") from exc
-            resolved[dep_id] = bp.open_package(archive, emitter=dep_id)
         return resolved
 
     def content_rules(self) -> dict[str, bp.ContentRule]:
@@ -153,8 +153,14 @@ class Builder:
     def validate_dependency_contents(
             self, packages: dict[str, bp.BlockPackage]) -> None:
         for dep_id, rule in self.content_rules().items():
-            if dep_id in packages:
+            if dep_id not in packages:
+                continue
+            try:
                 bp.require_contents(packages[dep_id], rule)
+            except bp.PackageError as exc:
+                raise BuilderError(
+                    f"block '{self.block_id}' cannot use dependency "
+                    f"'{dep_id}': {exc}") from exc
 
     def import_dependencies(self, packages: dict[str, bp.BlockPackage]) -> None:
         for dep_id, pkg in packages.items():

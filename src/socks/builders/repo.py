@@ -104,8 +104,8 @@ class RepoScriptBuilder(ScriptBuilder):
         if not created:
             return StageReport(self.block_id, "create-patches", skipped=True,
                                reasons=["no new commits"])
-        append_to_block_list(self.context.config_file, self.block_id,
-                             "patches", created)
+        append_to_block_list(self.context.tree, self.block_id, "patches",
+                             created)
         return StageReport(self.block_id, "create-patches", artifacts=created)
 
     def cmd_create_cfg_snippet(self) -> StageReport:
@@ -120,7 +120,7 @@ class RepoScriptBuilder(ScriptBuilder):
         if not changed:
             return StageReport(self.block_id, "create-cfg-snippet",
                                skipped=True, reasons=["no config changes"])
-        append_to_block_list(self.context.config_file, self.block_id,
+        append_to_block_list(self.context.tree, self.block_id,
                              "config_snippets", [name])
         self.kconfig_baseline.write_bytes(self.kconfig_path.read_bytes())
         return StageReport(self.block_id, "create-cfg-snippet",

@@ -1,108 +1,106 @@
-"""Surgical edits to the project configuration file.
+"""Edits of the project configuration that add names to a block's list.
 
-Used when new patch or snippet files are created: the new names are appended
-to the block's list while every untouched line keeps its original formatting.
+``create-patches`` and ``create-cfg-snippet`` append new file names to the
+list that defines the block's effective ``patches`` or ``config_snippets``:
+in the file the merged tree took that list from, at the span the YAML
+composer marked for it.  Every other byte of every file stays as it was; a
+list that cannot be extended that way is refused with a located
+``ConfigError`` and the file is left untouched.
 """
 
 from __future__ import annotations
 
-import re
 from pathlib import Path
 
+import yaml
+
+from .configtree import ConfigTree, _Loader
 from .errors import ConfigError
 
-
-def _indent(line: str) -> int:
-    return len(line) - len(line.lstrip(" "))
-
-
-def _find_key(lines: list[str], key: str, start: int, end: int,
-              min_indent: int) -> int | None:
-    pattern = re.compile(rf"^(\s*){re.escape(key)}:")
-    for idx in range(start, end):
-        line = lines[idx]
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        if _indent(line) <= min_indent and idx != start:
-            return None
-        match = pattern.match(line)
-        if match and _indent(line) > min_indent:
-            return idx
-    return None
+def _scalar(item: str) -> str:
+    """``item`` as a YAML scalar that reads back as itself in block and in
+    flow context."""
+    return yaml.safe_dump([item], default_flow_style=True, allow_unicode=True,
+                          width=1 << 30)[1:-2]
 
 
-def _section_end(lines: list[str], start: int, indent: int) -> int:
-    for idx in range(start + 1, len(lines)):
-        line = lines[idx]
-        if line.strip() and not line.lstrip().startswith("#") \
-                and _indent(line) <= indent:
-            return idx
-    return len(lines)
+def _line_end(text: str, node: yaml.Node) -> int:
+    """Index just past the line break that ends ``node``'s last line."""
+    while isinstance(node, (yaml.MappingNode, yaml.SequenceNode)) \
+            and node.value and not node.flow_style:
+        last = node.value[-1]
+        node = last[1] if isinstance(node, yaml.MappingNode) else last
+    end = text.find("\n", node.end_mark.index - 1)
+    return len(text) if end < 0 else end + 1
 
 
-def append_to_block_list(config_path: str | Path, block_id: str, key: str,
+def append_to_block_list(tree: ConfigTree, block_id: str, key: str,
                          items: list[str]) -> None:
-    """Append ``items`` to ``blocks/<block_id>/project/<key>`` in place."""
-    config_path = Path(config_path)
-    lines = config_path.read_text(encoding="utf-8").splitlines()
+    """Append ``items`` to ``blocks/<block_id>/project/<key>`` where that
+    list is defined; without the key in any file, add it to the block's
+    own ``project`` mapping."""
+    key_path = f"blocks/{block_id}/project/{key}"
+    path = Path(tree.origin(key_path).rsplit(":", 1)[0])
+    text = path.read_bytes().decode("utf-8")
+    loader = _Loader(text)
+    loader.name = str(path)
+    try:
+        node = loader.get_single_node()
+    finally:
+        loader.dispose()
 
-    blocks_idx = next(
-        (i for i, l in enumerate(lines) if re.match(r"^blocks:\s*(#.*)?$", l)),
-        None)
-    if blocks_idx is None:
-        raise ConfigError("no 'blocks:' section found", key_path="blocks",
-                          origin=str(config_path))
-    blocks_end = _section_end(lines, blocks_idx, 0)
+    def refuse(reason: str, at: yaml.Node) -> ConfigError:
+        return ConfigError(
+            f"cannot add {', '.join(items)} to this list: {reason}; "
+            f"add it by hand", key_path=key_path,
+            origin=f"{path}:{at.start_mark.line + 1}")
 
-    block_idx = _find_key(lines, block_id, blocks_idx + 1, blocks_end, 0)
-    if block_idx is None:
-        raise ConfigError(f"block '{block_id}' not found in this file",
-                          key_path=f"blocks/{block_id}", origin=str(config_path))
-    block_indent = _indent(lines[block_idx])
-    block_end = _section_end(lines, block_idx, block_indent)
+    parts = key_path.split("/")
+    for depth, part in enumerate(parts):
+        if not isinstance(node, yaml.MappingNode) or node.flow_style:
+            raise refuse("the enclosing value is not a block mapping", node)
+        pairs = {k.value: (k, v) for k, v in node.value
+                 if isinstance(k, yaml.ScalarNode)}
+        if part not in pairs:
+            if "<<" in pairs:
+                raise refuse("its mapping is completed by a merge key", node)
+            if depth < len(parts) - 1:
+                raise refuse(f"'{part}' is not defined in this file", node)
+            break
+        at, node = pairs[part]
+        if text.startswith("&", node.start_mark.index):
+            raise refuse("the value is shared through an anchor", at)
 
-    project_idx = _find_key(lines, "project", block_idx + 1, block_end,
-                            block_indent)
-    if project_idx is None:
-        raise ConfigError(f"block '{block_id}' has no 'project' section",
-                          key_path=f"blocks/{block_id}/project",
-                          origin=str(config_path))
-    project_indent = _indent(lines[project_idx])
-    project_end = _section_end(lines, project_idx, project_indent)
-
-    key_idx = _find_key(lines, key, project_idx + 1, project_end,
-                        project_indent)
-    if key_idx is None:
-        # No list yet: create it directly under 'project:'.
-        child_indent = project_indent + 2
-        new = [f"{' ' * child_indent}{key}:"]
-        new += [f"{' ' * (child_indent + 2)}- {item}" for item in items]
-        lines[project_idx + 1:project_idx + 1] = new
+    eol = "\r\n" if "\r\n" in text else "\n"
+    rendered = [_scalar(item) for item in items]
+    if isinstance(node, yaml.MappingNode):   # the key is absent: add it
+        pad = " " * node.start_mark.column
+        pos = _line_end(text, node)
+        new = f"{pad}{key}:{eol}" + "".join(f"{pad}  - {r}{eol}"
+                                            for r in rendered)
+    elif not isinstance(node, yaml.SequenceNode):
+        raise refuse("the value is not a list", at)
+    elif node.flow_style and node.value:
+        pos, new = node.value[-1].end_mark.index, "".join(
+            ", " + r for r in rendered)
+    elif node.flow_style:
+        pos, new = node.end_mark.index - 1, ", ".join(rendered)
     else:
-        key_indent = _indent(lines[key_idx])
-        key_line = lines[key_idx]
-        if re.match(rf"^\s*{re.escape(key)}:\s*\[\s*\]\s*(#.*)?$", key_line):
-            item_indent = key_indent + 2
-            lines[key_idx] = f"{' ' * key_indent}{key}:"
-            new = [f"{' ' * item_indent}- {item}" for item in items]
-            lines[key_idx + 1:key_idx + 1] = new
-        else:
-            # Walk past existing '- item' lines to find the insertion point.
-            insert_at = key_idx + 1
-            item_indent = key_indent + 2
-            idx = key_idx + 1
-            while idx < len(lines):
-                line = lines[idx]
-                if not line.strip():
-                    idx += 1
-                    continue
-                if line.lstrip().startswith("- ") and _indent(line) > key_indent:
-                    item_indent = _indent(line)
-                    insert_at = idx + 1
-                    idx += 1
-                    continue
-                break
-            new = [f"{' ' * item_indent}- {item}" for item in items]
-            lines[insert_at:insert_at] = new
+        pad = " " * node.start_mark.column
+        pos = _line_end(text, node)
+        new = "".join(f"{pad}- {r}{eol}" for r in rendered)
+    if not node.flow_style and pos and text[pos - 1] != "\n":
+        new = eol + new
+    edited = text[:pos] + new + text[pos:]
 
-    config_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # The edit must change this one list and nothing else.
+    expected = yaml.load(text, Loader=_Loader)
+    section = expected["blocks"][block_id]["project"]
+    section[key] = section.get(key, []) + list(items)
+    try:
+        same = yaml.load(edited, Loader=_Loader) == expected
+    except yaml.YAMLError:
+        same = False
+    if not same:
+        raise refuse("an edit in place would change other values", node)
+    path.write_bytes(edited.encode("utf-8"))

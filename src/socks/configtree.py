@@ -85,10 +85,13 @@ def _collect_origins(node: Any, path: str, mark_file: str,
 
 
 class _Loader(yaml.SafeLoader):
-    """Safe loader that keeps an unquoted date as the text it spells."""
+    """Safe loader that keeps an unquoted date and a ``!!binary`` value as
+    the text they spell."""
 
     yaml_constructors = {**yaml.SafeLoader.yaml_constructors,
                          "tag:yaml.org,2002:timestamp":
+                             yaml.SafeLoader.construct_yaml_str,
+                         "tag:yaml.org,2002:binary":
                              yaml.SafeLoader.construct_yaml_str}
 
 
@@ -100,6 +103,7 @@ def load_project(path: str | Path) -> ConfigTree:
     text = path.read_text(encoding="utf-8")
     # One parse: the node graph gives the origins, the data is built from it.
     loader = _Loader(text)
+    loader.name = str(path)
     try:
         node = loader.get_single_node()
         data = loader.construct_document(node) if node is not None else None

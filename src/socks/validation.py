@@ -61,7 +61,6 @@ class GeneralSettings:
     project_type: str
     project_name: str
     container_tool: str = "docker"
-    toolset_version: str = ""
     max_threads: int | str = ALL_CORES
 
     def effective_threads(self) -> int:
@@ -259,18 +258,13 @@ def validate_general(tree: ConfigTree) -> GeneralSettings:
         project_type=str(ptype_name),
         project_name=str(tree.get("project/name")),
         container_tool=str(tool),
-        toolset_version=str(tree.get("external_tools/xilinx/version", "")),
         max_threads=max_threads,
     )
 
 
 def validate_block(tree: ConfigTree, block_id: str,
-                   schema: type[BlockProjectModel] | None = None) -> BlockSpec:
-    """Validate one block section; ``schema`` is the builder's project model.
-
-    With ``schema=None`` only the common fields are checked and the project
-    subtree is retained opaque.
-    """
+                   schema: type[BlockProjectModel]) -> BlockSpec:
+    """Validate one block section; ``schema`` is the builder's project model."""
     base_path = f"blocks/{block_id}"
     section = tree.get(base_path, None)
     if not isinstance(section, dict):
@@ -284,22 +278,10 @@ def validate_block(tree: ConfigTree, block_id: str,
             key_path=f"{base_path}/source",
             origin=tree.origin(f"{base_path}/source"))
 
-    project_section = common["project"]
-    if schema is not None:
-        builder_specific = check_section(project_section, schema,
-                                         f"{base_path}/project", tree)
-        import_src = builder_specific["import_src"]
-        dependencies = dict(builder_specific["dependencies"])
-    else:
-        import_src = project_section.get("import_src")
-        deps = project_section.get("dependencies", {})
-        if not isinstance(deps, dict):
-            raise ValidationError(
-                "dependencies must be a mapping of block id to path/URL",
-                key_path=f"{base_path}/project/dependencies",
-                origin=tree.origin(f"{base_path}/project/dependencies"))
-        dependencies = dict(deps)
-        builder_specific = dict(project_section)
+    builder_specific = check_section(common["project"], schema,
+                                     f"{base_path}/project", tree)
+    import_src = builder_specific["import_src"]
+    dependencies = dict(builder_specific["dependencies"])
 
     if source_mode == "import" and not import_src:
         raise ValidationError(
@@ -308,11 +290,6 @@ def validate_block(tree: ConfigTree, block_id: str,
             origin=tree.origin(f"{base_path}/project"))
 
     for dep_id, ref in dependencies.items():
-        if not isinstance(ref, str):
-            raise ValidationError(
-                "dependency reference must be a string",
-                key_path=f"{base_path}/project/dependencies/{dep_id}",
-                origin=tree.origin(f"{base_path}/project/dependencies/{dep_id}"))
         if ref.startswith("/"):
             raise ValidationError(
                 "dependency paths must be relative to the project folder "

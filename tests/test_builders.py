@@ -365,7 +365,9 @@ def test_truncated_dependency_fails_before_any_step(project, project_dir,
     for _ in range(2):  # never skipped, not even on a second attempt
         report = run(project, Invocation("devicetree", "build"))
         assert report.outcome == "failed"
-        assert isinstance(report.error, PackageError)
+        assert isinstance(report.error, BuilderError)
+        assert isinstance(report.error.__cause__, PackageError)
+        assert report.error.exit_code == 2
         assert report.entries == []
     assert recorder.count("build") == 0
 

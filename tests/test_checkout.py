@@ -62,8 +62,8 @@ def add_patch(project_dir: Path, tmp_path: Path, name: str,
     patch = git(scratch, "format-patch", "--stdout", "-1")
     (project_dir / "src" / "kernel" / name).write_text(patch,
                                                        encoding="utf-8")
-    append_to_block_list(project_dir / "socks.yml", "kernel", "patches",
-                         [name])
+    append_to_block_list(Project.load(project_dir / "socks.yml").tree,
+                         "kernel", "patches", [name])
 
 
 def test_patch_edited_in_place_asks_for_a_clean(project_dir):

@@ -231,9 +231,11 @@ def test_unquoted_date_is_kept_as_the_text_it_spells(project_dir, capsys):
 def test_binary_value_breaks_neither_config_nor_build(project_dir, capsys):
     config = project_dir / "socks.yml"
     with open(config, "a", encoding="utf-8") as fh:
-        fh.write("\nnotes: !!binary aGVsbG8=\n")
+        fh.write('\nnotes: !!binary aGVsbG8=\nsee: "notes {{notes}}"\n')
     assert cli.main(["-f", str(config), "--show-config"]) == 0
-    assert "notes: b'hello'" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert 'notes: "aGVsbG8="' in out  # kept as the text it spells
+    assert 'see: "notes aGVsbG8="' in out
     assert cli.main(["-f", str(config), "all", "build"]) == 0
 
 

@@ -33,8 +33,11 @@ def test_load_non_mapping_root(tmp_path):
 
 def test_load_parse_error_includes_location(tmp_path):
     cfg = write(tmp_path / "a.yml", "a: [1, 2\n")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as exc:
         load_project(cfg)
+    assert exc.value.origin == f"{cfg}:2"
+    assert f'in "{cfg}", line' in str(exc.value)
+    assert "<unicode string>" not in str(exc.value)
 
 
 def test_origin_tracking(tmp_path):

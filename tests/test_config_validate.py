@@ -6,8 +6,10 @@ import copy
 
 import pytest
 
+from socks import builders  # noqa: F401  (registers the built-in builders)
 from socks.configtree import ConfigTree, process_project
 from socks.errors import ValidationError
+from socks.registry import get_descriptor
 from socks.validation import (ALL_CORES, BlockProjectModel, GeneralSettings,
                               validate_block, validate_general)
 
@@ -23,12 +25,17 @@ def drop_block(tree: ConfigTree, block_id: str) -> ConfigTree:
     return ConfigTree(root, dict(tree.origins), tree.source_file)
 
 
+def validate(tree: ConfigTree, block_id: str):
+    """``validate_block`` with the schema of the block's configured builder."""
+    builder = tree.get(f"blocks/{block_id}/builder")
+    return validate_block(tree, block_id, get_descriptor(builder).schema)
+
+
 def test_fixture_general_settings(fixture_tree):
     settings = validate_general(fixture_tree)
     assert settings.project_type == "ZynqMP"
     assert settings.project_name == "zynqmp-mock"
     assert settings.container_tool == "disabled"
-    assert settings.toolset_version == "2022.2"
     assert settings.max_threads == 4
     assert settings.effective_threads() == 4
 
@@ -81,7 +88,7 @@ def test_all_cores_sentinel():
 
 
 def test_validate_block_common_fields(fixture_tree):
-    spec = validate_block(fixture_tree, "vivado")
+    spec = validate(fixture_tree, "vivado")
     assert spec.block_id == "vivado"
     assert spec.builder_name == "Script_Builder"
     assert spec.source_mode == "build"
@@ -90,7 +97,7 @@ def test_validate_block_common_fields(fixture_tree):
 
 
 def test_validate_block_dependencies(fixture_tree):
-    spec = validate_block(fixture_tree, "image")
+    spec = validate(fixture_tree, "image")
     assert set(spec.dependencies) == {"atf", "devicetree", "fsbl", "kernel",
                                       "pmu_fw", "uboot", "vivado", "rootfs"}
 
@@ -101,7 +108,7 @@ def test_unknown_key_rejected_with_path(fixture_tree):
     tree = ConfigTree(root, dict(fixture_tree.origins),
                       fixture_tree.source_file)
     with pytest.raises(ValidationError) as exc:
-        validate_block(tree, "vivado")
+        validate(tree, "vivado")
     assert "blocks/vivado" in exc.value.key_path
 
 
@@ -125,14 +132,14 @@ def test_import_requires_import_src(fixture_tree):
     root = copy.deepcopy(fixture_tree.root)
     root["blocks"]["vivado"]["source"] = "import"
     with pytest.raises(ValidationError, match="import_src"):
-        validate_block(ConfigTree(root, source_file="f"), "vivado")
+        validate(ConfigTree(root, source_file="f"), "vivado")
 
 
 def test_invalid_source_mode(fixture_tree):
     root = copy.deepcopy(fixture_tree.root)
     root["blocks"]["vivado"]["source"] = "steal"
     with pytest.raises(ValidationError, match="source"):
-        validate_block(ConfigTree(root, source_file="f"), "vivado")
+        validate(ConfigTree(root, source_file="f"), "vivado")
 
 
 def test_absolute_dependency_path_rejected(fixture_tree):
@@ -140,11 +147,11 @@ def test_absolute_dependency_path_rejected(fixture_tree):
     root["blocks"]["image"]["project"]["dependencies"]["vivado"] = \
         "/abs/bp_vivado.tar.gz"
     with pytest.raises(ValidationError, match="absolute"):
-        validate_block(ConfigTree(root, source_file="f"), "image")
+        validate(ConfigTree(root, source_file="f"), "image")
 
 
 def test_missing_container_section(fixture_tree):
     root = copy.deepcopy(fixture_tree.root)
     del root["blocks"]["vivado"]["container"]
     with pytest.raises(ValidationError, match="container"):
-        validate_block(ConfigTree(root, source_file="f"), "vivado")
+        validate(ConfigTree(root, source_file="f"), "vivado")
