@@ -4,6 +4,8 @@ A block package is a gzip-compressed tar named ``bp_<blockid>_<stamp>.tar.gz``
 carrying one block's build artifacts.  Archives are canonicalized (sorted
 members, zeroed timestamps and ownership) so identical content always yields
 an identical digest, which the incremental layer uses to skip re-imports.
+Every archive socks writes gets a digest sidecar beside it, so later runs
+reuse its digest instead of reading the archive again.
 The gzip stream is compressed in fixed chunks on a thread pool; its bytes
 depend only on the content, never on the number of threads.
 """
@@ -13,6 +15,7 @@ from __future__ import annotations
 import fnmatch
 import glob as globlib
 import hashlib
+import json
 import os
 import re
 import shutil
@@ -29,6 +32,7 @@ from pathlib import Path
 from urllib.parse import urlparse
 
 from .errors import ContentRuleViolation, PackageError
+from .incremental import write_json
 
 PACKAGE_NAME_RE = re.compile(r"^bp_[a-z0-9_]+_[0-9TZ:-]+\.tar\.gz$")
 STAMP_FORMAT = "%Y%m%dT%H%M%SZ"
@@ -105,19 +109,77 @@ def run_digest_memo():
         _run_digests = None
 
 
-def _stat_key(path: Path) -> tuple:
-    st = os.stat(path)
-    return (os.fspath(path), st.st_dev, st.st_ino, st.st_size,
-            st.st_mtime_ns, st.st_ctime_ns)
-
-
 def _memo_digest(path: Path) -> str:
     if _run_digests is None:
         return archive_digest(path)
-    key = _stat_key(path)
+    key = (os.fspath(path), *_identity(path))
     if key not in _run_digests:
         _run_digests[key] = archive_digest(path)
     return _run_digests[key]
+
+
+def digest_sidecar(path: Path) -> Path:
+    """Where the digest of the archive at ``path`` is kept."""
+    return path.with_name(f".{path.name}.digest")
+
+
+def _identity(path: str | Path) -> list[int]:
+    st = os.stat(path)
+    return [st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns]
+
+
+def record_digest(path: Path, digest: str, validator=None) -> None:
+    """Keep the digest of the archive socks just wrote at ``path`` in its
+    sidecar, with the archive's stat identity and the ``validator`` of the
+    source it was fetched from (see ``_download``)."""
+    write_json(digest_sidecar(path), {"digest": digest,
+                                      "identity": _identity(path),
+                                      "validator": validator})
+
+
+def _read_sidecar(path: Path) -> tuple[dict | None, bool]:
+    """The parsed sidecar of ``path`` (None when absent or malformed), and
+    whether it still describes these bytes.
+
+    It does while the archive's stat identity is the recorded one and the
+    recorded change time lies strictly before the sidecar was written: a
+    rewrite within the timestamp tick of that write could keep the identity,
+    so such a sidecar is not trusted (git's racy rule).
+    """
+    try:
+        with open(digest_sidecar(path), "rb") as fh:
+            written = os.fstat(fh.fileno()).st_mtime_ns
+            record = json.loads(fh.read())
+        identity = record["identity"]
+        trusted = isinstance(record["digest"], str) \
+            and identity == _identity(path) and identity[4] < written
+        return record, trusted
+    except (OSError, ValueError, TypeError, KeyError):
+        return None, False
+
+
+def file_digest(path: Path) -> str:
+    """SHA-256 of an archive: its sidecar's while that is trusted, else
+    hashed at most once per run.
+
+    A re-hash of an archive in a block's ``output/`` or ``imports/`` under
+    ``temp/`` rewrites its sidecar; it keeps the recorded validator only
+    when the bytes are still the recorded ones.  Archives elsewhere belong
+    to the user and get no sidecar.
+    """
+    record, trusted = _read_sidecar(path)
+    if trusted:
+        return record["digest"]
+    digest = _memo_digest(path)
+    if path.parent.name in ("output", "imports") \
+            and path.parent.parent.parent.name == "temp":
+        same = record is not None and record.get("digest") == digest
+        try:
+            record_digest(path, digest,
+                          record.get("validator") if same else None)
+        except OSError:
+            pass  # the sidecar only saves work; the next run hashes again
+    return digest
 
 
 class _HashingWriter:
@@ -310,6 +372,8 @@ def create_package(block_id: str, output_dir: str | Path,
                 for name, src in items:
                     _add_member(tar, block_id, name, Path(src))
         os.replace(partial, archive_path)
+        digest = sink.sha.hexdigest()
+        record_digest(archive_path, digest)
     except BaseException as exc:
         partial.unlink(missing_ok=True)
         if isinstance(exc, OSError):
@@ -317,9 +381,6 @@ def create_package(block_id: str, output_dir: str | Path,
                 f"cannot write block package {archive_path}: {exc}") from exc
         raise
 
-    digest = sink.sha.hexdigest()
-    if _run_digests is not None:
-        _run_digests[_stat_key(archive_path)] = digest
     package = BlockPackage(path=archive_path, emitter=block_id, digest=digest)
     # The writer knows the listing: seed the cached property.
     vars(package)["entries"] = tuple(name for name, _ in items)
@@ -360,7 +421,7 @@ def open_package(path: str | Path, emitter: str = "") -> BlockPackage:
     if not emitter:
         match = re.match(r"^bp_([a-z0-9_]+)_", path.name)
         emitter = match.group(1) if match else ""
-    return BlockPackage(path=path, emitter=emitter, digest=_memo_digest(path))
+    return BlockPackage(path=path, emitter=emitter, digest=file_digest(path))
 
 
 def resolve_dependency(ref: str, project_dir: str | Path,
@@ -385,37 +446,67 @@ def resolve_dependency(ref: str, project_dir: str | Path,
 
 
 def _download(url: str, dest_dir: Path, credentials: dict | None) -> Path:
-    """Fetch ``url`` into ``dest_dir`` with one GET; basic-auth credentials
-    are looked up by host name.
+    """Fetch ``url`` into ``dest_dir`` with one GET, unless the source is
+    unchanged since the last fetch; basic-auth credentials are looked up by
+    host name.
 
-    The bytes go to a hidden partial file that replaces the previous copy
-    only once the whole body has arrived, so a failed or truncated fetch
-    leaves that copy as it was.
+    The bytes are hashed as they go to a hidden partial file, which replaces
+    the previous copy only once the whole body has arrived, so a failed or
+    truncated fetch leaves that copy as it was.  The copy's sidecar keeps a
+    validator of the source (RFC 9110 section 13.1): for ``file://`` the
+    source's stat identity, which when unchanged skips the fetch; for HTTP
+    the request headers of a conditional GET, which a 304 answers without
+    a body.  A source without a validator is fetched every time.
     """
     # Imported here: http.client, email and ssl come with it, and only
     # fetches need them.
     import http.client
+    import urllib.error
     import urllib.request
     parsed = urlparse(url)
     dest_dir.mkdir(parents=True, exist_ok=True)
     name = Path(parsed.path).name or "download.tar.gz"
     dest = dest_dir / name
+    record, trusted = _read_sidecar(dest)
+    known = record.get("validator") if trusted else None
+    validator, conditional = None, {}
     request = urllib.request.Request(url)
-    if credentials and parsed.scheme in ("http", "https"):
-        creds = credentials.get(parsed.hostname or "", {})
-        if "username" in creds:
-            import base64
-            token = base64.b64encode(
-                f"{creds['username']}:{creds.get('password', '')}".encode()
-            ).decode("ascii")
-            request.add_header("Authorization", f"Basic {token}")
+    if parsed.scheme == "file":
+        try:
+            validator = _identity(urllib.request.url2pathname(parsed.path))
+        except OSError:
+            pass  # urlopen names the problem
+        if known is not None and known == validator:
+            return dest
+    else:
+        if credentials:
+            creds = credentials.get(parsed.hostname or "", {})
+            if "username" in creds:
+                import base64
+                token = base64.b64encode(
+                    f"{creds['username']}:{creds.get('password', '')}"
+                    .encode()).decode("ascii")
+                request.add_header("Authorization", f"Basic {token}")
+        # Another URL's validator means nothing to this server.
+        if isinstance(known, dict) and known.pop("url", None) == url:
+            conditional = known
+        for header, value in conditional.items():
+            request.add_header(header, value)
     partial = dest_dir / f".{name}.partial"
     try:
         with urllib.request.urlopen(request, timeout=FETCH_TIMEOUT_S) as resp, \
                 open(partial, "wb") as out:
-            shutil.copyfileobj(resp, out)
+            # A source changed in the tick this copy began in could change
+            # again unseen: its identity is no validator (git's racy rule).
+            began = os.fstat(out.fileno()).st_mtime_ns
+            if validator and validator[4] >= began:
+                validator = None
+            sink = _HashingWriter(out)
+            shutil.copyfileobj(resp, sink)
             expected = resp.headers.get("Content-Length", "")
             received = out.tell()
+            if parsed.scheme != "file":
+                validator = _http_validator(url, resp.headers)
         # urllib returns a body cut short by a closed connection as if it
         # were complete.
         if expected.isdigit() and int(expected) != received:
@@ -423,12 +514,36 @@ def _download(url: str, dest_dir: Path, credentials: dict | None) -> Path:
                 f"download failed for {url}: the connection closed after "
                 f"{received} of {expected} bytes")
         os.replace(partial, dest)
+        record_digest(dest, sink.sha.hexdigest(), validator)
     except BaseException as exc:
         partial.unlink(missing_ok=True)
+        if isinstance(exc, urllib.error.HTTPError) and exc.code == 304 \
+                and conditional:
+            return dest  # Not Modified: the copy and its sidecar stay
         if isinstance(exc, (OSError, http.client.HTTPException)):
             raise PackageError(f"download failed for {url}: {exc}") from exc
         raise
     return dest
+
+
+def _http_validator(url: str, headers) -> dict | None:
+    """The conditional-request headers that revalidate this response of
+    ``url``, with the URL they belong to.
+
+    A ``Last-Modified`` less than a second before the response's ``Date``
+    is not kept: a republish within that second would carry the same one.
+    """
+    from email.utils import parsedate_to_datetime
+    etag = headers.get("ETag")
+    if etag:
+        return {"url": url, "If-None-Match": etag}
+    modified, date = headers.get("Last-Modified"), headers.get("Date")
+    try:
+        settled = (parsedate_to_datetime(date).timestamp()
+                   - parsedate_to_datetime(modified).timestamp()) >= 1
+    except (TypeError, ValueError):
+        return None
+    return {"url": url, "If-Modified-Since": modified} if settled else None
 
 
 def validate_contents(pkg: BlockPackage, rule: ContentRule) -> list[str]:

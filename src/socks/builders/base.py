@@ -5,11 +5,12 @@ All file activity of a builder stays under ``temp/<block_id>/`` inside the
 project folder:
 
     temp/<block_id>/
-        output/       the package this block last published
+        output/       the package this block last published, and its
+                      digest sidecar (.<package name>.digest)
         stage/        declared artifacts collected before packaging
         deps/<dep>/   extracted dependency packages
         deps/.<dep>.digest  digest of the package extracted in deps/<dep>/
-        imports/      downloaded archives
+        imports/      downloaded archives and their digest sidecars
         build.json    what the published package was built from, written
                       only after it is published
         src/          the git checkout (repository blocks)
@@ -162,10 +163,17 @@ class Builder:
                     f"block '{self.block_id}' cannot use dependency "
                     f"'{dep_id}': {exc}") from exc
 
-    def import_dependencies(self, packages: dict[str, bp.BlockPackage]) -> None:
+    def import_dependencies(self, packages: dict[str, bp.BlockPackage], *,
+                            extract: bool = True) -> None:
+        """Extract each package into ``deps/``, or without ``extract`` only
+        read its member listing.  Either reads the whole archive, so a
+        corrupt package fails here."""
         for dep_id, pkg in packages.items():
             try:
-                bp.import_package(pkg, self.deps_dir / dep_id)
+                if extract:
+                    bp.import_package(pkg, self.deps_dir / dep_id)
+                else:
+                    pkg.entries
             except bp.PackageError as exc:
                 raise BuilderError(
                     f"block '{self.block_id}' cannot import dependency "
@@ -177,11 +185,13 @@ class Builder:
                              inputs=inputs, config_text=self.section_text)
 
     def commit(self, package_name: str, inputs: dict[str, str]) -> None:
-        """Record the published package, then drop the ones it supersedes."""
+        """Record the published package, then drop the ones it supersedes
+        with their sidecars."""
         BuildRecord(package_name, inputs, self.section_text).save(
             self.record_path)
         for old in self.existing_packages():
             if old.name != package_name:
+                bp.digest_sidecar(old).unlink(missing_ok=True)
                 old.unlink()
 
     def emitter_rule(self) -> bp.ContentRule:
@@ -222,6 +232,8 @@ class Builder:
             # the record goes first, so an interrupted copy is never trusted.
             self.record_path.unlink(missing_ok=True)
             shutil.copy2(archive, published)
+            # Consumers read the copy's digest instead of hashing it.
+            bp.record_digest(published, package.digest)
         self.commit(published.name, inputs)
         return StageReport(self.block_id, "build",
                            artifacts=[published.name],

@@ -8,9 +8,10 @@ project as new patch and snippet files.
 
 from __future__ import annotations
 
+from functools import partial
 from pathlib import Path
 
-from ..configedit import append_to_block_list
+from ..configedit import plan_list_append
 from ..errors import BuilderError
 from ..registry import BuilderDescriptor, CommandDescriptor
 from ..sources import (SourceRef, apply_config_snippets, apply_patches,
@@ -94,18 +95,23 @@ class RepoScriptBuilder(ScriptBuilder):
 
     # -- configuring commands ------------------------------------------------
 
+    def list_edit(self, key: str):
+        """Planner of the edit that appends new file names to this block's
+        ``key`` list."""
+        return partial(plan_list_append, self.context.tree, self.block_id,
+                       key)
+
     def cmd_create_patches(self) -> StageReport:
         if not (self.checkout_dir / ".git").exists():
             raise BuilderError(
                 f"block '{self.block_id}' has no checkout yet; "
                 f"run 'prepare' or 'build' first")
         created = create_patches_from_commits(
-            self.source_ref(), self.files_dir, self.patch_files())
+            self.source_ref(), self.files_dir, self.patch_files(),
+            self.list_edit("patches"))
         if not created:
             return StageReport(self.block_id, "create-patches", skipped=True,
                                reasons=["no new commits"])
-        append_to_block_list(self.context.tree, self.block_id, "patches",
-                             created)
         return StageReport(self.block_id, "create-patches", artifacts=created)
 
     def cmd_create_cfg_snippet(self) -> StageReport:
@@ -116,12 +122,11 @@ class RepoScriptBuilder(ScriptBuilder):
         existing = self.spec.builder_specific.get("config_snippets", [])
         name = f"cfg-snippet-{len(existing) + 1:04d}.cfg"
         changed = create_config_snippet(
-            self.kconfig_path, self.kconfig_baseline, self.files_dir / name)
+            self.kconfig_path, self.kconfig_baseline, self.files_dir / name,
+            self.list_edit("config_snippets"))
         if not changed:
             return StageReport(self.block_id, "create-cfg-snippet",
                                skipped=True, reasons=["no config changes"])
-        append_to_block_list(self.context.tree, self.block_id,
-                             "config_snippets", [name])
         self.kconfig_baseline.write_bytes(self.kconfig_path.read_bytes())
         return StageReport(self.block_id, "create-cfg-snippet",
                            artifacts=[name])

@@ -52,7 +52,9 @@ class ScriptBuilder(Builder):
         if self.stage_dir.exists():
             shutil.rmtree(self.stage_dir)
         self.stage_dir.mkdir(parents=True, exist_ok=True)
-        self.import_dependencies(packages)
+        # Only steps read the extracted packages.
+        self.import_dependencies(
+            packages, extract=bool(self.spec.builder_specific.get("steps")))
 
     def run_steps(self, packages) -> None:
         env = self.step_env(packages)
@@ -128,7 +130,8 @@ class RootfsBuilder(ScriptBuilder):
 
     def fetched_inputs(self) -> dict[str, str]:
         """Fetch the URL extra packages before the rebuild decision, so a
-        republish at the same URL is a changed input."""
+        republish at the same URL is a changed input; an unchanged source
+        is not fetched again (see ``bp._download``)."""
         try:
             self.fetched = {
                 ref: bp._download(ref, self.imports_dir, self.credentials)
@@ -137,7 +140,7 @@ class RootfsBuilder(ScriptBuilder):
             raise BuilderError(
                 f"block '{self.block_id}' cannot fetch an extra package: "
                 f"{exc}") from exc
-        return {f"extra_packages/{ref}": bp.archive_digest(path)
+        return {f"extra_packages/{ref}": bp.file_digest(path)
                 for ref, path in self.fetched.items()}
 
     def stage_extras(self, packages) -> None:
@@ -146,7 +149,7 @@ class RootfsBuilder(ScriptBuilder):
             payload = self.fetched.get(ref) or self.project_dir / ref
             if not payload.is_file():
                 raise BuilderError(f"extra package not found: {ref!r}")
-            lines.append(f"{payload.name} sha256={bp.archive_digest(payload)}")
+            lines.append(f"{payload.name} sha256={bp.file_digest(payload)}")
         (self.stage_dir / self.PACKAGES_FILE).write_text(
             "".join(line + "\n" for line in lines), encoding="utf-8")
 

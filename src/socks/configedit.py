@@ -5,12 +5,14 @@ list that defines the block's effective ``patches`` or ``config_snippets``:
 in the file the merged tree took that list from, at the span the YAML
 composer marked for it.  Every other byte of every file stays as it was; a
 list that cannot be extended that way is refused with a located
-``ConfigError`` and the file is left untouched.
+``ConfigError`` before anything is written.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import yaml
 
@@ -34,11 +36,13 @@ def _line_end(text: str, node: yaml.Node) -> int:
     return len(text) if end < 0 else end + 1
 
 
-def append_to_block_list(tree: ConfigTree, block_id: str, key: str,
-                         items: list[str]) -> None:
-    """Append ``items`` to ``blocks/<block_id>/project/<key>`` where that
-    list is defined; without the key in any file, add it to the block's
-    own ``project`` mapping."""
+def plan_list_append(tree: ConfigTree, block_id: str, key: str,
+                     items: list[str]) -> Callable[[], object]:
+    """Locate and check the edit that appends ``items`` to
+    ``blocks/<block_id>/project/<key>`` where that list is defined (without
+    the key in any file, in the block's own ``project`` mapping), and
+    return the function that writes it.  A refusal comes before any
+    write, so a caller can write its own files in between."""
     key_path = f"blocks/{block_id}/project/{key}"
     path = Path(tree.origin(key_path).rsplit(":", 1)[0])
     text = path.read_bytes().decode("utf-8")
@@ -103,4 +107,4 @@ def append_to_block_list(tree: ConfigTree, block_id: str, key: str,
         same = False
     if not same:
         raise refuse("an edit in place would change other values", node)
-    path.write_bytes(edited.encode("utf-8"))
+    return partial(path.write_bytes, edited.encode("utf-8"))

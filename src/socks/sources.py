@@ -12,12 +12,19 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import shutil
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from .environment import execute_host
 from .errors import ProcessError, SourceError
 from .incremental import write_json
+
+# Given the names of new files, checks the configuration edit that lists
+# them and returns the function that writes it (``plan_list_append``).
+EditConfig = Callable[[list[str]], Callable[[], object]]
 
 KCONFIG_LINE_RE = re.compile(
     r"^(?:([A-Za-z0-9_]+)=.*|# ([A-Za-z0-9_]+) is not set)$")
@@ -57,7 +64,8 @@ def _load_record(ref: SourceRef) -> dict:
         record = json.loads(ref.record.read_text(encoding="utf-8"))
         if isinstance(record["baseline"], str) and all(
                 isinstance(name, str) and isinstance(digest, str)
-                for name, digest in record["patches"]):
+                for name, digest in record["patches"]
+                + record.get("applying", [])):
             return record
     except (OSError, ValueError, TypeError, KeyError):
         pass
@@ -124,6 +132,17 @@ def apply_patches(ref: SourceRef, patches: list[Path],
     sync; ``git am`` still refuses a patch that touches a dirty file."""
     checkout = ref.checkout_dir
     record = _load_record(ref)
+    # The record names each patch before ``git am`` runs.  A run cut before
+    # the entry was completed left it there: the patch landed when HEAD
+    # moved past the baseline, and is applied again otherwise.
+    for entry in record.pop("applying", []):
+        head = head_commit(checkout)
+        if head != record["baseline"]:
+            record["patches"].append(entry)
+            record["baseline"] = head
+        else:
+            _git(checkout, "am", "--abort", check=False)
+        write_json(ref.record, record)
     pending = _unapplied(ref, record, _series(patches))
     applied = []
     for patch, entry in zip(patches[len(patches) - len(pending):], pending):
@@ -133,6 +152,7 @@ def apply_patches(ref: SourceRef, patches: list[Path],
             raise SourceError(
                 f"checkout {checkout} has unstaged changes; refusing to "
                 f"apply {patch.name}")
+        write_json(ref.record, {**record, "applying": [entry]})
         try:
             _git(checkout, "am", str(patch.resolve()))
         except ProcessError as exc:
@@ -147,12 +167,16 @@ def apply_patches(ref: SourceRef, patches: list[Path],
 
 
 def create_patches_from_commits(ref: SourceRef, patches_dir: Path,
-                                patches: list[Path]) -> list[str]:
+                                patches: list[Path],
+                                edit_config: EditConfig) -> list[str]:
     """Export the commits beyond the recorded baseline as patch files
     numbered after the configured ``patches``, and record them as applied:
     they already are HEAD's commits.
 
-    Returns the created file names (empty when there is nothing new).
+    ``edit_config(names)`` checks the configuration edit that lists the new
+    files and returns its writer; it runs before any patch or record is
+    written, and the edit is written last.  Returns the created file names
+    (empty when there is nothing new).
     """
     checkout = ref.checkout_dir
     record = _load_record(ref)
@@ -166,14 +190,21 @@ def create_patches_from_commits(ref: SourceRef, patches_dir: Path,
                      f"{baseline}..HEAD").stdout.strip())
     if count == 0:
         return []
-    patches_dir.mkdir(parents=True, exist_ok=True)
-    result = _git(checkout, "format-patch",
-                  "--start-number", str(len(patches) + 1),
-                  "-o", str(patches_dir.resolve()), f"{baseline}..HEAD")
-    created = [Path(line) for line in result.stdout.strip().splitlines()]
+    # Exported beside the checkout first: only git knows the file names.
+    with tempfile.TemporaryDirectory(dir=checkout.parent,
+                                     prefix=".patches-") as staging:
+        result = _git(checkout, "format-patch",
+                      "--start-number", str(len(patches) + 1),
+                      "-o", str(Path(staging).resolve()), f"{baseline}..HEAD")
+        exported = [Path(line) for line in result.stdout.strip().splitlines()]
+        write_config = edit_config([path.name for path in exported])
+        patches_dir.mkdir(parents=True, exist_ok=True)
+        created = [Path(shutil.move(path, patches_dir / path.name))
+                   for path in exported]
     record["patches"] += _series(created)
     record["baseline"] = head_commit(checkout)
     write_json(ref.record, record)
+    write_config()
     return [path.name for path in created]
 
 
@@ -224,9 +255,11 @@ def apply_config_snippets(config_file: Path, snippets: list[Path]) -> None:
 
 
 def create_config_snippet(config_file: Path, baseline_file: Path,
-                          out_path: Path) -> list[str]:
+                          out_path: Path, edit_config: EditConfig) -> list[str]:
     """Write the keys that changed since the baseline copy into a snippet.
 
+    ``edit_config([out_path.name])`` checks the configuration edit that
+    lists the snippet and returns its writer, before the snippet is written.
     Returns the changed key names; empty means no snippet was written.
     """
     if not config_file.exists():
@@ -241,8 +274,9 @@ def create_config_snippet(config_file: Path, baseline_file: Path,
                if baseline.get(key) != line]
     if not changed:
         return []
+    write_config = edit_config([out_path.name])
     out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_text(
         "".join(current[key] + "\n" for key in changed), encoding="utf-8")
+    write_config()
     return changed
-

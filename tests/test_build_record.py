@@ -4,13 +4,23 @@ downloads and interrupts."""
 
 from __future__ import annotations
 
+import errno
 import hashlib
+import json
 import os
 import random
 import shutil
+import subprocess
 import tarfile
+import tempfile
 import time
+import urllib.request
 from pathlib import Path
+from unittest import mock
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from socks import blockpackage as bp
 from socks import cli, environment
@@ -172,7 +182,9 @@ def test_import_stamped_older_than_the_local_build_is_consumed(
     import_vivado(project_dir, ci.path.as_uri())
     build_ok(project_dir, "devicetree", group=True)
     output = project_dir / "temp" / "vivado" / "output"
-    assert os.listdir(output) == [ci.path.name]  # the local build is pruned
+    # The local build is pruned with its sidecar.
+    assert sorted(os.listdir(output)) == [f".{ci.path.name}.digest",
+                                          ci.path.name]
     assert member(newest_package(project_dir, "devicetree"),
                   "system.dtb").startswith(b"<hardware rev='ci'/>")
 
@@ -281,3 +293,196 @@ def test_interrupt_at_every_build_spawn_equals_a_from_scratch_build(
         interrupted_build(work, k)
         build_ok(work)
         assert outputs(work) == expected, f"interrupted at build spawn {k}"
+
+
+# -- digest sidecars and conditional fetch ------------------------------------
+
+CI_STAMP = "20260101T000000Z"
+
+
+def test_file_url_republished_in_place_with_the_same_size_is_fetched(
+        project_dir, tmp_path):
+    ci = tmp_path / "ci"
+    first = vivado_package(ci / "a", "<hardware rev='A'/>\n", CI_STAMP).path
+    second = vivado_package(ci / "b", "<hardware rev='B'/>\n", CI_STAMP).path
+    assert first.stat().st_size == second.stat().st_size
+    source = ci / first.name
+    shutil.copy2(first, source)
+    import_vivado(project_dir, source.as_uri())
+    build_ok(project_dir)
+
+    st = source.stat()
+    with open(source, "r+b") as fh:  # same inode, size and mtime
+        fh.write(second.read_bytes())
+    os.utime(source, ns=(st.st_atime_ns, st.st_mtime_ns))
+    report = build_ok(project_dir)
+    assert {"vivado", "devicetree", "image"} <= rebuilt(report)
+    assert member(newest_package(project_dir, "devicetree"),
+                  "system.dtb").startswith(b"<hardware rev='B'/>")
+
+
+def test_older_source_copied_with_cp_p_is_fetched(project_dir, tmp_path):
+    ci = tmp_path / "ci"
+    older = vivado_package(ci / "a", "<hardware rev='A'/>\n", CI_STAMP).path
+    time.sleep(0.05)
+    newer = vivado_package(ci / "b", "<hardware rev='B'/>\n", CI_STAMP).path
+    source = ci / older.name
+    shutil.copy2(newer, source)
+    import_vivado(project_dir, source.as_uri())
+    build_ok(project_dir)
+
+    subprocess.run(["cp", "-p", str(older), str(source)], check=True)
+    assert source.stat().st_mtime_ns < newer.stat().st_mtime_ns
+    report = build_ok(project_dir)
+    assert {"vivado", "devicetree", "image"} <= rebuilt(report)
+    assert member(newest_package(project_dir, "devicetree"),
+                  "system.dtb").startswith(b"<hardware rev='A'/>")
+
+
+def test_noop_with_file_url_imports_neither_hashes_nor_fetches(
+        project_dir, tmp_path, monkeypatch):
+    ci = vivado_package(tmp_path / "ci", "<hardware rev='ci'/>\n", CI_STAMP)
+    import_vivado(project_dir, ci.path.as_uri())
+    time.sleep(0.02)  # the source is older than the fetch's first tick
+
+    def every_archive_has_its_digest():
+        archives = list(project_dir.glob("temp/*/*/*.tar.gz"))
+        assert {path.parent.name for path in archives} \
+            == {"imports", "output"}
+        for path in archives:
+            recorded = json.loads(bp.digest_sidecar(path).read_bytes())
+            assert recorded["digest"] == hashlib.sha256(
+                path.read_bytes()).hexdigest(), path
+
+    build_ok(project_dir, "vivado")  # no consumer has read its copy yet
+    every_archive_has_its_digest()
+    build_ok(project_dir)
+    every_archive_has_its_digest()
+    # With coarse timestamps a sidecar written in its archive's tick is
+    # racy: the first no-op re-hashes it once, a tick later.
+    time.sleep(0.02)
+    assert rebuilt(build_ok(project_dir)) == set()
+
+    hashed, opened = [], []
+    real_digest, real_urlopen = bp.archive_digest, urllib.request.urlopen
+    monkeypatch.setattr(bp, "archive_digest",
+                        lambda path: hashed.append(path) or real_digest(path))
+    monkeypatch.setattr(urllib.request, "urlopen",
+                        lambda *a, **k: opened.append(a) or real_urlopen(*a,
+                                                                         **k))
+    assert rebuilt(build_ok(project_dir)) == set()
+    assert (hashed, opened) == ([], [])
+
+
+def ci_project(root: Path, rev: str) -> Path:
+    """The example project with vivado and uboot imported from ``file://``
+    URLs and one URL extra package for the rootfs, as CI published them at
+    revision ``rev``."""
+    project_dir = materialize(root / "proj")
+    publish(root / "ci", rev)
+    with open(project_dir / "socks.yml", "a", encoding="utf-8") as fh:
+        for block in ("vivado", "uboot"):
+            url = (root / "ci" / "out" / f"bp_{block}_{CI_STAMP}.tar.gz")
+            fh.write(f"  {block}:\n    source: import\n    project:\n"
+                     f"      import_src: {url.as_uri()}\n")
+    config = project_dir / "project-zynqmp-default.yml"
+    config.write_text(config.read_text().replace(
+        "        - payloads/lib-2.1.pkg\n",
+        "        - payloads/lib-2.1.pkg\n"
+        f"        - {(root / 'ci' / 'net-3.0.pkg').as_uri()}\n"),
+        encoding="utf-8")
+    return project_dir
+
+
+def publish(ci: Path, rev: str) -> None:
+    """CI writes its archives anew at the same URLs."""
+    vivado_package(ci, f"<hardware rev='{rev}'/>\n", CI_STAMP)
+    (ci / "u-boot.elf").write_text(f"u-boot {rev}\n", encoding="utf-8")
+    bp.create_package("uboot", ci / "out", {"u-boot.elf": ci / "u-boot.elf"},
+                      stamp=CI_STAMP)
+    (ci / "net-3.0.pkg").write_text(f"net 3.0 {rev}\n", encoding="utf-8")
+
+
+REAL_REPLACE = os.replace
+
+
+class FailAtReplace:
+    """``os.replace`` that raises ``error`` at its k-th call, before or
+    after the rename."""
+
+    def __init__(self, k: int, error: BaseException, after: bool):
+        self.k, self.error, self.after = k, error, after
+        self.seen = 0
+
+    def __call__(self, src, dst, **kwargs):
+        self.seen += 1
+        if self.seen == self.k and not self.after:
+            raise self.error
+        REAL_REPLACE(src, dst, **kwargs)
+        if self.seen == self.k and self.after:
+            raise self.error
+
+
+@pytest.fixture(scope="module")
+def ci_reference(tmp_path_factory):
+    """Per phase: the outputs of a from-scratch build, and the number of
+    ``os.replace`` calls of that phase's build run uninterrupted."""
+    counts, expected = {}, {}
+    for rev in ("A", "B"):
+        project_dir = ci_project(tmp_path_factory.mktemp(f"scratch{rev}"),
+                                 rev)
+        build_ok(project_dir)
+        expected[rev] = outputs(project_dir)
+    for phase in ("cold", "republish"):
+        root = tmp_path_factory.mktemp(f"count-{phase}")
+        project_dir = prepared_phase(root, phase)
+        counter = FailAtReplace(0, KeyboardInterrupt(), False)
+        with mock.patch.object(os, "replace", counter):
+            build_ok(project_dir)
+        counts[phase] = counter.seen
+    return counts, expected
+
+
+def prepared_phase(root: Path, phase: str) -> Path:
+    """A CI project just before the build of ``phase``: nothing built yet
+    (cold), or built at revision A with B published since (republish)."""
+    project_dir = ci_project(root, "A")
+    if phase == "republish":
+        build_ok(project_dir)
+        publish(root / "ci", "B")
+    return project_dir
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), phase=st.sampled_from(["cold", "republish"]),
+       error=st.sampled_from([KeyboardInterrupt(),
+                              OSError(errno.EIO, "injected")]),
+       after=st.booleans())
+def test_interrupt_at_any_file_replace_equals_a_from_scratch_build(
+        ci_reference, data, phase, error, after):
+    counts, expected = ci_reference
+    k = data.draw(st.integers(1, counts[phase]), label="k")
+    with tempfile.TemporaryDirectory() as tmp:
+        project_dir = prepared_phase(Path(tmp), phase)
+        failing = FailAtReplace(k, error, after)
+        with mock.patch.object(os, "replace", failing):
+            try:
+                report = build(project_dir)
+            except OSError:
+                report = None
+        assert failing.seen >= k
+        if report is not None:
+            assert report.outcome != "completed" or isinstance(error, OSError)
+        rerun = build(project_dir)
+        if rerun.outcome == "failed" and "has no valid record" in str(
+                rerun.error):
+            # A clone cut before its first record: the located error names
+            # the remedy, a clean of that block.
+            clean = Invocation(rerun.at_block, "clean")
+            assert run(Project.load(project_dir / "socks.yml"),
+                       clean).outcome == "completed"
+        build_ok(project_dir)
+        rev = "A" if phase == "cold" else "B"
+        assert outputs(project_dir) == expected[rev]
+        assert rebuilt(build_ok(project_dir)) == set()

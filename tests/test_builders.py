@@ -453,7 +453,8 @@ def test_cut_download_keeps_the_previous_copy(tmp_path, monkeypatch, cut):
             server.shutdown()
             serving.join(timeout=10)
     assert previous.read_bytes() == body
-    assert os.listdir(dest_dir) == [previous.name]
+    assert sorted(os.listdir(dest_dir)) == [f".{previous.name}.digest",
+                                            previous.name]
 
 
 def test_extra_package_url_is_fetched_with_credentials(project_dir):
@@ -496,3 +497,24 @@ def test_extra_package_url_is_fetched_with_credentials(project_dir):
         listing = tar.extractfile("packages.txt").read().decode()
     assert f"net-3.0.pkg sha256={hashlib.sha256(payload).hexdigest()}" \
         in listing
+
+
+def test_stepless_image_extracts_no_dependency(tmp_path):
+    from socks.fixture import materialize
+    manifests = {}
+    for steps in (False, True):
+        pdir = materialize(tmp_path / f"steps-{steps}")
+        if steps:
+            config = pdir / "project-zynqmp-default.yml"
+            config.write_text(config.read_text() + (
+                "      steps:\n"
+                "        - test -f \"$SOCKS_DEPS_DIR/rootfs/rootfs.img\"\n"),
+                encoding="utf-8")
+        build_all(Project.load(pdir / "socks.yml"))
+        deps = pdir / "temp" / "image" / "deps"
+        assert deps.exists() is steps
+        if steps:
+            assert (deps / "rootfs" / "rootfs.img").is_file()
+        with tarfile.open(newest_package(pdir, "image"), "r:gz") as tar:
+            manifests[steps] = tar.extractfile("boot.img").read()
+    assert manifests[False] == manifests[True]

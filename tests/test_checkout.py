@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from socks import cli
-from socks.configedit import append_to_block_list
+from socks.configedit import plan_list_append
 from socks.errors import SourceError
 from socks.graph import Invocation
 from socks.orchestrator import run
@@ -62,8 +62,8 @@ def add_patch(project_dir: Path, tmp_path: Path, name: str,
     patch = git(scratch, "format-patch", "--stdout", "-1")
     (project_dir / "src" / "kernel" / name).write_text(patch,
                                                        encoding="utf-8")
-    append_to_block_list(Project.load(project_dir / "socks.yml").tree,
-                         "kernel", "patches", [name])
+    plan_list_append(Project.load(project_dir / "socks.yml").tree,
+                     "kernel", "patches", [name])()
 
 
 def test_patch_edited_in_place_asks_for_a_clean(project_dir):

@@ -6,6 +6,7 @@ with the file untouched."""
 from __future__ import annotations
 
 import difflib
+import os
 import subprocess
 import tempfile
 import textwrap
@@ -17,9 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from socks import cli
-from socks.configedit import append_to_block_list
+from socks.configedit import plan_list_append
 from socks.configtree import process_project
 from socks.errors import ConfigError
+from socks.project import Project
 
 SHIPPED = "0001-add-mock-driver.patch"
 BLOCK_LIST = f"      patches:\n        - {SHIPPED}\n"
@@ -123,8 +125,8 @@ def test_refused_edit_is_located_and_leaves_the_file(tmp_path, case):
     config.write_text(textwrap.dedent(text), encoding="utf-8")
     before = config.read_bytes()
     with pytest.raises(ConfigError, match=reason) as exc:
-        append_to_block_list(process_project(config), "kernel", "patches",
-                             ["b.patch"])
+        plan_list_append(process_project(config), "kernel", "patches",
+                         ["b.patch"])
     assert exc.value.origin == f"{config}:{line}"
     assert config.read_bytes() == before
 
@@ -241,8 +243,8 @@ def test_random_layouts_gain_exactly_the_new_items(layout):
         before = {path: path.read_bytes() for path in (main, other)}
         old = process_project(main).get("blocks/kernel/project/patches", [])
 
-        append_to_block_list(process_project(main), "kernel", "patches",
-                             items)
+        plan_list_append(process_project(main), "kernel", "patches",
+                         items)()
 
         edited = other if layout["where"] == "imported" else main
         for path, text in before.items():
@@ -257,3 +259,50 @@ def test_random_layouts_gain_exactly_the_new_items(layout):
         assert new_text.count("\n") == new_text.count(layout["eol"])
         assert process_project(main).get("blocks/kernel/project/patches") \
             == old + items
+
+
+# -- refusals write nothing -----------------------------------------------
+
+def test_refused_create_patches_writes_no_patch_or_record(project_dir):
+    config = project_dir / "socks.yml"
+    anchored = f"      patches: &p [{SHIPPED}]\n"
+    edit(config, BLOCK_LIST, anchored)
+    assert socks(config, "build") == 0
+    commit_feature(project_dir)
+    files = project_dir / "src" / "kernel"
+    work = project_dir / "temp" / "kernel"
+    kept = [config, work / "checkout.json"]
+    before = ({path: path.read_bytes() for path in kept},
+              sorted(os.listdir(files)), sorted(os.listdir(work)))
+
+    builder = Project.load(config).builders["kernel"]
+    with pytest.raises(ConfigError, match="anchor") as exc:
+        builder.apply("create-patches")
+    line = config.read_text().splitlines().index(anchored.rstrip()) + 1
+    assert exc.value.origin == f"{config}:{line}"
+    assert ({path: path.read_bytes() for path in kept},
+            sorted(os.listdir(files)), sorted(os.listdir(work))) == before
+    assert socks(config, "build") == 0
+
+
+def test_refused_create_cfg_snippet_writes_no_snippet(project_dir):
+    config = project_dir / "socks.yml"
+    snippets = "      config_snippets:\n        - cfg-snippet-0001.cfg\n"
+    anchored = "      config_snippets: &s [cfg-snippet-0001.cfg]\n"
+    edit(config, snippets, anchored)
+    assert socks(config, "build") == 0
+    work = project_dir / "temp" / "kernel"
+    with open(work / "src" / ".config", "a", encoding="utf-8") as fh:
+        fh.write("CONFIG_NEW_OPTION=y\n")
+    files = project_dir / "src" / "kernel"
+    kept = [config, work / "kconfig.last"]
+    before = ({path: path.read_bytes() for path in kept},
+              sorted(os.listdir(files)))
+
+    builder = Project.load(config).builders["kernel"]
+    with pytest.raises(ConfigError, match="anchor") as exc:
+        builder.apply("create-cfg-snippet")
+    line = config.read_text().splitlines().index(anchored.rstrip()) + 1
+    assert exc.value.origin == f"{config}:{line}"
+    assert ({path: path.read_bytes() for path in kept},
+            sorted(os.listdir(files))) == before

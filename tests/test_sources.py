@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from helpers import tree_digest
+from socks import sources
 from socks.errors import SourceError
 from socks.fixture import create_kernel_origin
 from socks.sources import (SourceRef, apply_config_snippets, apply_patches,
@@ -35,6 +36,11 @@ def ref(tmp_path, origin) -> SourceRef:
     return SourceRef(block="kernel", source=str(origin), branch=BRANCH,
                      checkout_dir=tmp_path / "work" / "src",
                      record=tmp_path / "work" / "checkout.json")
+
+
+def no_config_edit(names: list[str]):
+    """``edit_config`` for exports that no configuration lists."""
+    return lambda: None
 
 
 def record(ref: SourceRef) -> dict:
@@ -141,6 +147,39 @@ def test_apply_patches_aborts_cleanly_on_conflict(ref, tmp_path, origin):
     assert git(ref.checkout_dir, "status", "--porcelain").strip() == ""
 
 
+@pytest.mark.parametrize("landed", [True, False])
+def test_patch_cut_around_git_am_is_recorded_once(ref, tmp_path, origin,
+                                                  monkeypatch, landed):
+    sync_source(ref)
+    patches = make_patches(origin, tmp_path, 2)
+    apply_patches(ref, patches[:1], ".config")
+
+    real_write = sources.write_json
+
+    def cut(path, data):
+        # The record naming the patch is written before git am runs, the
+        # completed one after it.
+        if "applying" in data:
+            real_write(path, data)
+            if landed:
+                return
+        raise KeyboardInterrupt
+
+    with monkeypatch.context() as patched:
+        patched.setattr(sources, "write_json", cut)
+        with pytest.raises(KeyboardInterrupt):
+            apply_patches(ref, patches, ".config")
+    # A landed patch is recorded, one that did not land is applied now.
+    assert apply_patches(ref, patches, ".config") \
+        == ([] if landed else [patches[1].name])
+    assert record(ref) == {
+        "baseline": git(ref.checkout_dir, "rev-parse", "HEAD").strip(),
+        "patches": [[p.name, hashlib.sha256(p.read_bytes()).hexdigest()]
+                    for p in patches]}
+    assert git(ref.checkout_dir, "rev-list", "--count",
+               "HEAD").strip() == "3"  # the origin's commit and two patches
+
+
 def test_apply_missing_patch_file(ref, tmp_path):
     sync_source(ref)
     with pytest.raises(SourceError, match="not found"):
@@ -154,7 +193,8 @@ def test_create_patches_roundtrip(ref, tmp_path, origin):
     commit_file(ref.checkout_dir, "new1.c", "int one;\n", "first change")
     commit_file(ref.checkout_dir, "new2.c", "int two;\n", "second change")
     out_dir = tmp_path / "exported"
-    created = create_patches_from_commits(ref, out_dir, patches)
+    created = create_patches_from_commits(ref, out_dir, patches,
+                                          no_config_edit)
     assert created == ["0002-first-change.patch", "0003-second-change.patch"]
     # The exported commits are already applied: the record lists them, and
     # a second export finds nothing new.
@@ -162,7 +202,8 @@ def test_create_patches_roundtrip(ref, tmp_path, origin):
     assert [name for name, _ in record(ref)["patches"]] == \
         [p.name for p in patches]
     assert apply_patches(ref, patches, ".config") == []
-    assert create_patches_from_commits(ref, out_dir, patches) == []
+    assert create_patches_from_commits(ref, out_dir, patches,
+                                       no_config_edit) == []
 
 
 def test_create_patches_needs_the_configured_series_applied(ref, tmp_path,
@@ -171,7 +212,8 @@ def test_create_patches_needs_the_configured_series_applied(ref, tmp_path,
     patches = make_patches(origin, tmp_path, 1)
     commit_file(ref.checkout_dir, "new1.c", "int one;\n", "first change")
     with pytest.raises(SourceError, match="build the block"):
-        create_patches_from_commits(ref, tmp_path / "exported", patches)
+        create_patches_from_commits(ref, tmp_path / "exported", patches,
+                                    no_config_edit)
 
 
 @pytest.mark.parametrize("series", ["edited", "removed", "reordered"])
@@ -255,7 +297,8 @@ def test_create_config_snippet_roundtrip(tmp_path):
     config = tmp_path / ".config"
     config.write_text("CONFIG_A=y\nCONFIG_B=8\n", encoding="utf-8")
     snippet = tmp_path / "snip.cfg"
-    changed = create_config_snippet(config, baseline, snippet)
+    changed = create_config_snippet(config, baseline, snippet,
+                                    no_config_edit)
     assert changed == ["CONFIG_B"]
     assert snippet.read_text() == "CONFIG_B=8\n"
     # Applying the snippet to the baseline reproduces the change.
@@ -269,7 +312,8 @@ def test_create_config_snippet_no_change(tmp_path):
     config = tmp_path / ".config"
     config.write_text("CONFIG_A=y\n", encoding="utf-8")
     out = tmp_path / "snip.cfg"
-    assert create_config_snippet(config, baseline, out) == []
+    assert create_config_snippet(config, baseline, out,
+                                 no_config_edit) == []
     assert not out.exists()
 
 
