@@ -6,8 +6,9 @@ members, zeroed timestamps and ownership) so identical content always yields
 an identical digest, which the incremental layer uses to skip re-imports.
 Every archive socks writes gets a digest sidecar beside it, so later runs
 reuse its digest instead of reading the archive again.
-The gzip stream is compressed in fixed chunks on a thread pool; its bytes
-depend only on the content, never on the number of threads.
+The gzip stream is compressed in fixed chunks on a thread pool; a chunk
+that does not shrink is stored instead of deflated.  The bytes depend only
+on the content, never on the number of threads.
 """
 
 from __future__ import annotations
@@ -201,7 +202,15 @@ CHUNK_SIZE = 64 << 10
 _WINDOW = 32 << 10                 # deflate's window: each chunk's dictionary
 # Input slice per zlib call: each call's output then fits zlib's first 32 KiB
 # output buffer, instead of growing into larger buffers that are joined.
+# Where zlib ends a stored block depends on these slices, so changing them
+# changes the digest of every package with a stored chunk.
 _FEED = 16 << 10
+# Bytes at the head of a chunk that a level-1 probe deflates to choose the
+# chunk's encoding (see _deflate).
+_PROBE = 4 << 10
+# What zlib.compress wraps around raw deflate: a 2-byte header and a 4-byte
+# Adler-32 checksum.
+_ZLIB_FRAMING = 6
 # What gzip.GzipFile(filename="", mtime=0) writes at level 9: no file name
 # and no timestamp, so identical content hashes alike in every build; XFL=2
 # (best compression), OS=255 (unknown).
@@ -209,16 +218,26 @@ _GZIP_HEADER = b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x02\xff"
 
 
 def _deflate(data, zdict, last: bool) -> list[bytes]:
-    """Raw level-9 deflate of one chunk, primed with the preceding window.
+    """Raw deflate of one chunk, primed with the preceding window.
 
+    A chunk is deflated at level 9 when a level-1 probe shrinks its first
+    ``_PROBE`` bytes by at least 1/32; otherwise it goes out as stored
+    blocks (level 0, RFC 1951 section 3.2.4).  Bytes that do not shrink
+    (random data, or data compressed already: squashfs, xz, firmware blobs)
+    would cost a level-9 deflate for nothing.  Only the head is probed, so
+    a chunk whose head is random and whose rest is compressible is stored
+    whole.  The choice depends on the content alone.
     A sync flush ends every chunk but the last, so the chunks concatenate
     into one deflate stream.  zlib releases the GIL while it works.
     """
-    args = (9, zlib.DEFLATED, -zlib.MAX_WBITS, zlib.DEF_MEM_LEVEL,
+    view = memoryview(data)
+    head = view[:_PROBE]
+    probe = len(zlib.compress(head, 1)) - _ZLIB_FRAMING
+    level = 9 if probe < len(head) - len(head) // 32 else 0
+    args = (level, zlib.DEFLATED, -zlib.MAX_WBITS, zlib.DEF_MEM_LEVEL,
             zlib.Z_DEFAULT_STRATEGY)
     comp = zlib.compressobj(*args) if zdict is None \
         else zlib.compressobj(*args, zdict)
-    view = memoryview(data)
     pieces = [comp.compress(view[i:i + _FEED])
               for i in range(0, len(view), _FEED)]
     pieces.append(comp.flush(zlib.Z_FINISH if last else zlib.Z_SYNC_FLUSH))
@@ -230,11 +249,12 @@ class _ChunkedGzipWriter:
 
     The scheme of pigz: each ``CHUNK_SIZE`` piece of input is deflated on its
     own, primed with the 32 KiB before it, and the results are written in
-    order.  The output is one ordinary gzip member whose bytes depend only on
-    the input; a stream of one chunk is byte-identical to ``gzip.GzipFile``
-    at level 9.  The pool starts with the second chunk, and at most
-    ``workers + 1`` chunks are in flight, so a worker that finishes finds
-    the next chunk already queued.
+    order; unlike pigz, a piece that does not shrink is stored (see
+    ``_deflate``).  The output is one ordinary gzip member whose bytes depend
+    only on the input; a stream of one chunk that is deflated is
+    byte-identical to ``gzip.GzipFile`` at level 9.  The pool starts with
+    the second chunk, and at most ``workers + 1`` chunks are in flight, so a
+    worker that finishes finds the next chunk already queued.
     """
 
     def __init__(self, sink, workers: int):

@@ -13,7 +13,8 @@ project folder:
         imports/      downloaded archives and their digest sidecars
         build.json    what the published package was built from, written
                       only after it is published
-        src/          the git checkout (repository blocks)
+        src/          the git checkout (repository blocks), cloned in
+                      .src.partial/ first
         checkout.json the checkout's baseline commit and applied patches,
                       each with its digest (repository blocks)
 """
@@ -187,12 +188,17 @@ class Builder:
     def commit(self, package_name: str, inputs: dict[str, str]) -> None:
         """Record the published package, then drop the ones it supersedes
         with their sidecars."""
-        BuildRecord(package_name, inputs, self.section_text).save(
-            self.record_path)
-        for old in self.existing_packages():
-            if old.name != package_name:
-                bp.digest_sidecar(old).unlink(missing_ok=True)
-                old.unlink()
+        try:
+            BuildRecord(package_name, inputs, self.section_text).save(
+                self.record_path)
+            for old in self.existing_packages():
+                if old.name != package_name:
+                    bp.digest_sidecar(old).unlink(missing_ok=True)
+                    old.unlink()
+        except OSError as exc:
+            raise BuilderError(
+                f"block '{self.block_id}' cannot commit its build record "
+                f"{self.record_path}: {exc}") from exc
 
     def emitter_rule(self) -> bp.ContentRule:
         emits = self.spec.builder_specific.get("emits") or {}
@@ -225,15 +231,21 @@ class Builder:
             raise BuilderError(
                 f"block '{self.block_id}' cannot import its package: "
                 f"{exc}") from exc
-        self.output_dir.mkdir(parents=True, exist_ok=True)
         published = self.output_dir / archive.name
-        if archive.resolve() != published.resolve():
-            # The copy may replace the recorded package under its own name:
-            # the record goes first, so an interrupted copy is never trusted.
-            self.record_path.unlink(missing_ok=True)
-            shutil.copy2(archive, published)
-            # Consumers read the copy's digest instead of hashing it.
-            bp.record_digest(published, package.digest)
+        try:
+            self.output_dir.mkdir(parents=True, exist_ok=True)
+            if archive.resolve() != published.resolve():
+                # The copy may replace the recorded package under its own
+                # name: the record goes first, so an interrupted copy is
+                # never trusted.
+                self.record_path.unlink(missing_ok=True)
+                shutil.copy2(archive, published)
+                # Consumers read the copy's digest instead of hashing it.
+                bp.record_digest(published, package.digest)
+        except OSError as exc:
+            raise BuilderError(
+                f"block '{self.block_id}' cannot publish its imported "
+                f"package {published}: {exc}") from exc
         self.commit(published.name, inputs)
         return StageReport(self.block_id, "build",
                            artifacts=[published.name],
@@ -241,8 +253,13 @@ class Builder:
 
     def finish_build(self, files: dict[str, Path],
                      inputs: dict[str, str]) -> bp.BlockPackage:
-        package = bp.create_package(self.block_id, self.output_dir, files,
-                                    workers=self.general.effective_threads())
+        try:
+            package = bp.create_package(
+                self.block_id, self.output_dir, files,
+                workers=self.general.effective_threads())
+        except bp.PackageError as exc:
+            raise BuilderError(f"block '{self.block_id}' cannot package its "
+                               f"artifacts: {exc}") from exc
         self.commit(package.path.name, inputs)
         return package
 

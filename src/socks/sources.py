@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
 import shutil
 import tempfile
@@ -94,9 +95,23 @@ def _unapplied(ref: SourceRef, record: dict,
     return series[len(record["patches"]):]
 
 
+def _save_record(ref: SourceRef, record: dict) -> None:
+    try:
+        write_json(ref.record, record)
+    except OSError as exc:
+        raise SourceError(f"block '{ref.block}' cannot write its checkout "
+                          f"record {ref.record}: {exc}") from exc
+
+
 def sync_source(ref: SourceRef) -> None:
     """Clone the repository if absent; never silently switch branches or
-    reuse a checkout that has no record."""
+    reuse a checkout that has no record.
+
+    The clone is made in a hidden sibling of the checkout, recorded, and
+    only then renamed into place: a run cut before the rename leaves no
+    checkout, and the next run clones again.  A hidden clone left by a
+    killed run is deleted first.
+    """
     checkout = ref.checkout_dir
     if (checkout / ".git").exists():
         current = _git(checkout, "rev-parse", "--abbrev-ref",
@@ -108,19 +123,26 @@ def sync_source(ref: SourceRef) -> None:
         _load_record(ref)
         return
     ref.record.unlink(missing_ok=True)
+    clone = checkout.with_name(f".{checkout.name}.partial")
+    shutil.rmtree(clone, ignore_errors=True)
     checkout.parent.mkdir(parents=True, exist_ok=True)
     branch_args = ["--branch", ref.branch] if ref.branch else []
     try:
         execute_host(["git", "clone", *branch_args, "--", ref.source,
-                      str(checkout)])
+                      str(clone)])
     except ProcessError as exc:
         raise SourceError(f"clone failed for {ref.source}: {exc}") from exc
     # Patches are applied as commits, which needs a committer identity;
     # set a local fallback when the host has none configured.
-    if not _git(checkout, "config", "user.email", check=False).stdout.strip():
-        _git(checkout, "config", "user.name", "socks")
-        _git(checkout, "config", "user.email", "socks@localhost")
-    write_json(ref.record, {"baseline": head_commit(checkout), "patches": []})
+    if not _git(clone, "config", "user.email", check=False).stdout.strip():
+        _git(clone, "config", "user.name", "socks")
+        _git(clone, "config", "user.email", "socks@localhost")
+    _save_record(ref, {"baseline": head_commit(clone), "patches": []})
+    try:
+        os.replace(clone, checkout)
+    except OSError as exc:
+        raise SourceError(f"block '{ref.block}' cannot move its clone into "
+                          f"{checkout}: {exc}") from exc
 
 
 def apply_patches(ref: SourceRef, patches: list[Path],
@@ -142,7 +164,7 @@ def apply_patches(ref: SourceRef, patches: list[Path],
             record["baseline"] = head
         else:
             _git(checkout, "am", "--abort", check=False)
-        write_json(ref.record, record)
+        _save_record(ref, record)
     pending = _unapplied(ref, record, _series(patches))
     applied = []
     for patch, entry in zip(patches[len(patches) - len(pending):], pending):
@@ -152,7 +174,7 @@ def apply_patches(ref: SourceRef, patches: list[Path],
             raise SourceError(
                 f"checkout {checkout} has unstaged changes; refusing to "
                 f"apply {patch.name}")
-        write_json(ref.record, {**record, "applying": [entry]})
+        _save_record(ref, {**record, "applying": [entry]})
         try:
             _git(checkout, "am", str(patch.resolve()))
         except ProcessError as exc:
@@ -161,7 +183,7 @@ def apply_patches(ref: SourceRef, patches: list[Path],
                 f"patch {patch.name} does not apply: {exc}") from exc
         record["patches"].append(entry)
         record["baseline"] = head_commit(checkout)
-        write_json(ref.record, record)
+        _save_record(ref, record)
         applied.append(patch.name)
     return applied
 
@@ -203,7 +225,7 @@ def create_patches_from_commits(ref: SourceRef, patches_dir: Path,
                    for path in exported]
     record["patches"] += _series(created)
     record["baseline"] = head_commit(checkout)
-    write_json(ref.record, record)
+    _save_record(ref, record)
     write_config()
     return [path.name for path in created]
 

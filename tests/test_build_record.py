@@ -467,21 +467,13 @@ def test_interrupt_at_any_file_replace_equals_a_from_scratch_build(
         project_dir = prepared_phase(Path(tmp), phase)
         failing = FailAtReplace(k, error, after)
         with mock.patch.object(os, "replace", failing):
-            try:
-                report = build(project_dir)
-            except OSError:
-                report = None
+            report = build(project_dir)
         assert failing.seen >= k
-        if report is not None:
-            assert report.outcome != "completed" or isinstance(error, OSError)
-        rerun = build(project_dir)
-        if rerun.outcome == "failed" and "has no valid record" in str(
-                rerun.error):
-            # A clone cut before its first record: the located error names
-            # the remedy, a clean of that block.
-            clean = Invocation(rerun.at_block, "clean")
-            assert run(Project.load(project_dir / "socks.yml"),
-                       clean).outcome == "completed"
+        # A lost digest sidecar only costs a hash: that build completes.
+        assert report.outcome != "completed" or isinstance(error, OSError)
+        if report.outcome == "failed":
+            assert "injected" in str(report.error)
+            assert report.exit_code == 2
         build_ok(project_dir)
         rev = "A" if phase == "cold" else "B"
         assert outputs(project_dir) == expected[rev]

@@ -259,6 +259,43 @@ def test_failed_import_exits_2_naming_the_block(project_dir, tmp_path, capsys,
     assert not (project_dir / "temp" / "vivado" / "output").exists()
 
 
+@pytest.mark.parametrize("source", ["build", "import"])
+def test_disk_full_at_commit_exits_2_naming_block_and_path(
+        project_dir, tmp_path, capsys, monkeypatch, source):
+    """ENOSPC while atf writes build.json, or while an imported atf writes
+    its published copy's digest sidecar: a located error, not a traceback."""
+    config = project_dir / "socks.yml"
+    out = project_dir / "temp" / "atf" / "output"
+    full = named = out.parent / "build.json"
+    if source == "import":
+        (tmp_path / "bl31.elf").write_bytes(b"bl31 from CI\n")
+        pkg = bp.create_package("atf", tmp_path / "ci",
+                                {"bl31.elf": tmp_path / "bl31.elf"},
+                                stamp="20260101T000000Z")
+        config.write_text(config.read_text() + f"""\
+  atf:
+    source: import
+    project:
+      import_src: {pkg.path.resolve().as_uri()}
+""", encoding="utf-8")
+        named = out / pkg.path.name
+        full = bp.digest_sidecar(named)
+    real_replace = os.replace
+
+    def disk_full(src, dst, **kwargs):
+        if Path(dst) == full:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        real_replace(src, dst, **kwargs)
+
+    monkeypatch.setattr(os, "replace", disk_full)
+    assert cli.main(["-f", str(config), "atf", "build"]) == 2
+    err = capsys.readouterr().err
+    assert "block 'atf' cannot" in err
+    assert str(named) in err
+    assert "No space left on device" in err
+    assert not full.exists()
+
+
 def test_import_source_without_src_fails_clearly(project):
     builder = project.builders["vivado"]
     object.__setattr__(builder.spec, "source_mode", "import")
@@ -311,7 +348,9 @@ def test_interrupted_package_write_is_never_trusted(project, project_dir,
         patched.setattr(tarfile, "copyfileobj", failing_copy)
         failed = run(project, Invocation("atf", "build"))
     assert failed.outcome == "failed"
-    assert isinstance(failed.error, PackageError)
+    assert isinstance(failed.error, BuilderError)
+    assert isinstance(failed.error.__cause__, PackageError)
+    assert failed.exit_code == 2
     assert sorted(os.listdir(output)) == before
 
     retry = run(project, Invocation("atf", "build"))

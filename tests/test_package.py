@@ -291,25 +291,52 @@ def in_memory_tar_bytes(files: dict[str, Path]) -> bytes:
 CHUNK = 64 << 10
 
 
-def chunked_gzip_reference(data: bytes) -> bytes:
+def chunked_gzip_reference(data: bytes, store: bool = True) -> bytes:
     """Sequential reference of the chunked encoding: every 64 KiB chunk is
-    raw level-9 deflate primed with the 32 KiB of input before it, ended by a
-    sync flush (the last one finished), between a gzip header without name
-    or time and a CRC32/size trailer."""
+    raw deflate primed with the 32 KiB of input before it, ended by a sync
+    flush (the last one finished), between a gzip header without name or
+    time and a CRC32/size trailer.
+
+    A chunk is deflated at level 9, or with ``store`` it is stored (level 0)
+    when a level-1 probe of its first 4 KiB saves less than 1/32 of them
+    (``zlib.compress`` adds 6 bytes of framing).  A stored chunk is fed to
+    zlib in the writer's 16 KiB slices: zlib ends stored blocks where the
+    slices let it, and level 9 comes out the same however it is fed."""
     header = b"\x1f\x8b\x08\x00" + bytes(4) + b"\x02\xff"
     body = []
     starts = range(0, len(data), CHUNK)
     for start in starts:
+        chunk = data[start:start + CHUNK]
+        head = chunk[:4 << 10]
+        stored = store and \
+            32 * (len(zlib.compress(head, 1)) - 6) >= 31 * len(head)
+        level = 0 if stored else 9
         if start:
-            comp = zlib.compressobj(9, zlib.DEFLATED, -15, 8, 0,
+            comp = zlib.compressobj(level, zlib.DEFLATED, -15, 8, 0,
                                     zdict=data[start - (32 << 10):start])
         else:
-            comp = zlib.compressobj(9, zlib.DEFLATED, -15, 8, 0)
+            comp = zlib.compressobj(level, zlib.DEFLATED, -15, 8, 0)
+        feed = 16 << 10 if stored else CHUNK
+        body += [comp.compress(chunk[i:i + feed])
+                 for i in range(0, len(chunk), feed)]
         last = start == starts[-1]
-        body.append(comp.compress(data[start:start + CHUNK]))
         body.append(comp.flush(zlib.Z_FINISH if last else zlib.Z_SYNC_FLUSH))
     trailer = struct.pack("<II", zlib.crc32(data), len(data) & 0xFFFFFFFF)
     return header + b"".join(body) + trailer
+
+
+def member_bytes(size: int, seed: int, layout: str) -> bytes:
+    """``size`` bytes laid out as random, zeros or text: a deflate probe
+    finds random bytes incompressible, and the others compressible."""
+    rng = random.Random(seed)
+    half = size // 2
+    if layout == "random":
+        return rng.randbytes(size)
+    if layout == "random+zeros":
+        return rng.randbytes(half) + bytes(size - half)
+    if layout == "zeros+random":
+        return bytes(size - half) + rng.randbytes(half)
+    return bytes(rng.choices(b"abcdefgh \n", k=size))  # text
 
 
 member_specs = st.dictionaries(
@@ -317,28 +344,37 @@ member_specs = st.dictionaries(
                           "x"]),
     values=st.tuples(st.integers(0, 300_000),      # size
                      st.integers(0, 2 ** 32),       # content seed
-                     st.booleans()),                # executable
+                     st.booleans(),                 # executable
+                     st.sampled_from(["random", "random+zeros",
+                                      "zeros+random", "text"])),
     min_size=1, max_size=4)
 
 
 # Tar streams are padded to 10 KiB records, so five chunks is the shortest
 # one that ends on a chunk boundary (512-byte header, 326144 data bytes,
 # 1 KiB end marker): its last chunk is full and must still be the one
-# finished.  The second example adds one record beyond it.
-@example(specs={"rootfs.img": (5 * CHUNK - 1536, 0, False)})
-@example(specs={"rootfs.img": (5 * CHUNK - 1024, 0, False)})
+# finished.  The second example adds one record beyond it.  Then: an
+# archive of six random chunks; zeros, then random chunks; a second chunk
+# whose first 4 KiB are random (the member's data starts after the
+# 512-byte header) and whose rest is zeros, which is stored whole; and a
+# stream of 13 records, whose last chunk is 2 KiB.
+@example(specs={"rootfs.img": (5 * CHUNK - 1536, 0, False, "random+zeros")})
+@example(specs={"rootfs.img": (5 * CHUNK - 1024, 0, False, "random+zeros")})
+@example(specs={"rootfs.img": (5 * CHUNK, 1, False, "random")})
+@example(specs={"rootfs.img": (5 * CHUNK, 2, False, "zeros+random")})
+@example(specs={"rootfs.img": (2 * (CHUNK - 512 + (4 << 10)), 3, False,
+                               "random+zeros")})
+@example(specs={"rootfs.img": (13 * 10240 - 1536, 4, False, "random")})
 @settings(max_examples=25, deadline=None)
 @given(specs=member_specs)
 def test_streamed_archive_is_byte_identical_to_in_memory(tmp_path_factory,
                                                          specs):
     root = tmp_path_factory.mktemp("pkg")
     files = {}
-    for index, (name, (size, seed, executable)) in enumerate(specs.items()):
-        rng = random.Random(seed)
-        # Half random, half repetitive, so deflate sees both kinds of input.
-        data = rng.randbytes(size // 2) + bytes(size - size // 2)
+    for index, (name, (size, seed, executable, layout)) in enumerate(
+            specs.items()):
         src = root / f"src{index}"
-        src.write_bytes(data)
+        src.write_bytes(member_bytes(size, seed, layout))
         os.chmod(src, 0o755 if executable else 0o644)
         files[name] = src
     # The package holds the old writer's tar bytes in the chunked encoding,
@@ -355,6 +391,35 @@ def test_streamed_archive_is_byte_identical_to_in_memory(tmp_path_factory,
     assert single.digest == pooled.digest == \
         hashlib.sha256(archive).hexdigest()
     assert single.entries == pooled.entries == tuple(sorted(files))
+
+
+def test_compressible_package_keeps_the_level_9_encoding(tmp_path):
+    """A package whose every chunk compresses has the bytes it had before
+    incompressible chunks were stored."""
+    stage = tmp_path / "stage"
+    stage.mkdir()
+    files = stage_files(tmp_path)
+    for index, size in enumerate([6 * CHUNK, 3 * CHUNK + 123]):
+        files[f"f{index}"] = stage / f"f{index}"
+        files[f"f{index}"].write_bytes(member_bytes(size, index, "text"))
+    tar = in_memory_tar_bytes(files)
+    plain = chunked_gzip_reference(tar, store=False)
+    assert chunked_gzip_reference(tar) == plain
+    for workers in (1, 4):
+        pkg = bp.create_package("demo", tmp_path / f"out{workers}", files,
+                                stamp=FIXED_STAMP, workers=workers)
+        assert pkg.path.read_bytes() == plain
+
+
+def test_a_chunk_whose_head_is_random_is_stored_whole():
+    """The rule's worst case: only the head is probed, so 60 KiB of zeros
+    behind 4 KiB of random bytes are stored, not deflated."""
+    chunk = random.Random(5).randbytes(4 << 10) + bytes(CHUNK - (4 << 10))
+    encoded = b"".join(bp._deflate(chunk, None, True))
+    assert len(encoded) > CHUNK
+    assert zlib.decompress(encoded, -15) == chunk
+    swapped = chunk[4 << 10:] + chunk[:4 << 10]
+    assert len(b"".join(bp._deflate(swapped, None, True))) < 5 << 10
 
 
 def test_packaging_memory_does_not_grow_with_artifact_size(tmp_path):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import subprocess
 from pathlib import Path
 
@@ -87,6 +88,38 @@ def test_sync_bad_source(tmp_path):
     with pytest.raises(SourceError, match="clone failed"):
         sync_source(ref)
     assert not ref.record.exists()
+
+
+@pytest.mark.parametrize("cut", ["interrupted", "killed"])
+def test_clone_cut_before_the_rename_is_cloned_again(ref, monkeypatch, cut):
+    """A run cut after the clone was recorded but before it was renamed into
+    place leaves no checkout; a killed one also leaves its hidden clone.
+    The next sync clones again, without a clean."""
+    hidden = ref.checkout_dir.with_name(".src.partial")
+    if cut == "interrupted":
+        real_replace = os.replace
+
+        def interrupted(src, dst, **kwargs):
+            if Path(dst) == ref.checkout_dir:
+                raise KeyboardInterrupt
+            real_replace(src, dst, **kwargs)
+
+        monkeypatch.setattr(os, "replace", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            sync_source(ref)
+        monkeypatch.undo()
+        assert ref.record.exists()
+    else:
+        hidden.mkdir(parents=True)
+        (hidden / "Makefile").write_text("left by a killed clone\n")
+        ref.record.write_text('{"baseline": "0", "patches": []}')
+    assert not ref.checkout_dir.exists()
+    sync_source(ref)
+    assert not hidden.exists()
+    assert record(ref)["baseline"] == git(ref.checkout_dir, "rev-parse",
+                                          "HEAD").strip()
+    assert (ref.checkout_dir / "Makefile").read_text() != \
+        "left by a killed clone\n"
 
 
 def make_patches(origin: Path, tmp_path: Path, count: int) -> list[Path]:
