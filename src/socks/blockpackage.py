@@ -200,10 +200,10 @@ class _HashingWriter:
 # chunk size and the worker count bound the memory that packing adds.
 CHUNK_SIZE = 64 << 10
 _WINDOW = 32 << 10                 # deflate's window: each chunk's dictionary
-# Input slice per zlib call: each call's output then fits zlib's first 32 KiB
-# output buffer, instead of growing into larger buffers that are joined.
-# Where zlib ends a stored block depends on these slices, so changing them
-# changes the digest of every package with a stored chunk.
+# Input slice per zlib call: the output of each level-9 call then fits
+# zlib's first 32 KiB output buffer, instead of growing into larger buffers
+# that are joined.  Where zlib ends a stored block depends on these slices,
+# so changing them changes the digest of every package with a stored chunk.
 _FEED = 16 << 10
 # Bytes at the head of a chunk that a level-1 probe deflates to choose the
 # chunk's encoding (see _deflate).
