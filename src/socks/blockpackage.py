@@ -5,7 +5,7 @@ carrying one block's build artifacts.  Archives are canonicalized (sorted
 members, zeroed timestamps and ownership) so identical content always yields
 an identical digest, which the incremental layer uses to skip re-imports.
 Every archive socks writes gets a digest sidecar beside it, so later runs
-reuse its digest instead of reading the archive again.
+reuse its digest and member listing instead of reading the archive again.
 The gzip stream is compressed in fixed chunks on a thread pool; a chunk
 that does not shrink is stored instead of deflated.  The bytes depend only
 on the content, never on the number of threads.
@@ -51,8 +51,10 @@ def is_url(ref: str) -> bool:
 class BlockPackage:
     """A block package on disk.
 
-    ``entries`` (the regular-file members) is read from the archive on first
-    use: deciding whether a block can be skipped needs only the digest.
+    ``entries`` (the sorted regular-file members) comes from the digest
+    sidecar when ``open_package`` found it there; otherwise it is read from
+    the archive on first use and kept in a trusted sidecar that lacks it.
+    Deciding whether a block can be skipped needs only the digest.
     """
 
     path: Path
@@ -63,11 +65,22 @@ class BlockPackage:
     def entries(self) -> tuple[str, ...]:
         try:
             with tarfile.open(self.path, "r:gz") as tar:
-                return tuple(m.name for m in tar if m.isfile())
+                entries = tuple(sorted(m.name for m in tar if m.isfile()))
         except (tarfile.TarError, OSError, EOFError) as exc:
             raise PackageError(
                 f"corrupt or unreadable block package {self.path}: {exc}") \
                 from exc
+        # A sidecar written without a listing (by a download, or by an
+        # earlier version) that still vouches for these bytes gains it.
+        record, trusted = _read_sidecar(self.path)
+        if trusted and record["digest"] == self.digest \
+                and record["entries"] is None:
+            try:
+                record_digest(self.path, self.digest, record.get("validator"),
+                              entries)
+            except OSError:
+                pass  # the listing only saves work; the next run reads it
+        return entries
 
 
 @dataclass(frozen=True)
@@ -129,18 +142,21 @@ def _identity(path: str | Path) -> list[int]:
     return [st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns]
 
 
-def record_digest(path: Path, digest: str, validator=None) -> None:
+def record_digest(path: Path, digest: str, validator=None,
+                  entries=None) -> None:
     """Keep the digest of the archive socks just wrote at ``path`` in its
-    sidecar, with the archive's stat identity and the ``validator`` of the
-    source it was fetched from (see ``_download``)."""
-    write_json(digest_sidecar(path), {"digest": digest,
-                                      "identity": _identity(path),
-                                      "validator": validator})
+    sidecar, with the archive's stat identity, the ``validator`` of the
+    source it was fetched from (see ``_download``) and, when known, the
+    sorted names of its regular-file members."""
+    write_json(digest_sidecar(path), {
+        "digest": digest, "identity": _identity(path),
+        "validator": validator, "entries": entries})
 
 
 def _read_sidecar(path: Path) -> tuple[dict | None, bool]:
     """The parsed sidecar of ``path`` (None when absent or malformed), and
-    whether it still describes these bytes.
+    whether it still describes these bytes.  Its ``entries`` is None unless
+    it is a list of strings.
 
     It does while the archive's stat identity is the recorded one and the
     recorded change time lies strictly before the sidecar was written: a
@@ -154,33 +170,44 @@ def _read_sidecar(path: Path) -> tuple[dict | None, bool]:
         identity = record["identity"]
         trusted = isinstance(record["digest"], str) \
             and identity == _identity(path) and identity[4] < written
-        return record, trusted
     except (OSError, ValueError, TypeError, KeyError):
         return None, False
+    entries = record.get("entries")
+    if not isinstance(entries, list) \
+            or not all(isinstance(e, str) for e in entries):
+        record["entries"] = None
+    return record, trusted
 
 
 def file_digest(path: Path) -> str:
     """SHA-256 of an archive: its sidecar's while that is trusted, else
-    hashed at most once per run.
+    hashed at most once per run."""
+    return _digest_and_entries(path, *_read_sidecar(path))[0]
+
+
+def _digest_and_entries(path: Path, record: dict | None,
+                        trusted: bool) -> tuple[str, list[str] | None]:
+    """The digest of the archive at ``path`` and, when its sidecar
+    (``record``) holds one for these bytes, its member listing.
 
     A re-hash of an archive in a block's ``output/`` or ``imports/`` under
-    ``temp/`` rewrites its sidecar; it keeps the recorded validator only
-    when the bytes are still the recorded ones.  Archives elsewhere belong
-    to the user and get no sidecar.
+    ``temp/`` rewrites its sidecar; it keeps the recorded validator and
+    listing only when the bytes are still the recorded ones.  Archives
+    elsewhere belong to the user and get no sidecar.
     """
-    record, trusted = _read_sidecar(path)
     if trusted:
-        return record["digest"]
+        return record["digest"], record["entries"]
     digest = _memo_digest(path)
+    same = record is not None and record.get("digest") == digest
+    entries = record["entries"] if same else None
     if path.parent.name in ("output", "imports") \
             and path.parent.parent.parent.name == "temp":
-        same = record is not None and record.get("digest") == digest
         try:
             record_digest(path, digest,
-                          record.get("validator") if same else None)
+                          record.get("validator") if same else None, entries)
         except OSError:
             pass  # the sidecar only saves work; the next run hashes again
-    return digest
+    return digest, entries
 
 
 class _HashingWriter:
@@ -205,8 +232,8 @@ _WINDOW = 32 << 10                 # deflate's window: each chunk's dictionary
 # that are joined.  Where zlib ends a stored block depends on these slices,
 # so changing them changes the digest of every package with a stored chunk.
 _FEED = 16 << 10
-# Bytes at the head of a chunk that a level-1 probe deflates to choose the
-# chunk's encoding (see _deflate).
+# Bytes at the head and at the tail of a chunk that a level-1 probe
+# deflates to choose the chunk's encoding (see _deflate).
 _PROBE = 4 << 10
 # What zlib.compress wraps around raw deflate: a 2-byte header and a 4-byte
 # Adler-32 checksum.
@@ -217,23 +244,27 @@ _ZLIB_FRAMING = 6
 _GZIP_HEADER = b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x02\xff"
 
 
+def _shrinks(data) -> bool:
+    """True when a level-1 deflate saves at least 1/32 of ``data``."""
+    return len(zlib.compress(data, 1)) - _ZLIB_FRAMING \
+        < len(data) - len(data) // 32
+
+
 def _deflate(data, zdict, last: bool) -> list[bytes]:
     """Raw deflate of one chunk, primed with the preceding window.
 
     A chunk is deflated at level 9 when a level-1 probe shrinks its first
-    ``_PROBE`` bytes by at least 1/32; otherwise it goes out as stored
-    blocks (level 0, RFC 1951 section 3.2.4).  Bytes that do not shrink
-    (random data, or data compressed already: squashfs, xz, firmware blobs)
-    would cost a level-9 deflate for nothing.  Only the head is probed, so
-    a chunk whose head is random and whose rest is compressible is stored
+    or its last ``_PROBE`` bytes by at least 1/32; otherwise it goes out as
+    stored blocks (level 0, RFC 1951 section 3.2.4).  Bytes that do not
+    shrink (random data, or data compressed already: squashfs, xz,
+    firmware blobs) would cost a level-9 deflate for nothing.  A chunk
+    whose two ends are random and whose middle is compressible is stored
     whole.  The choice depends on the content alone.
     A sync flush ends every chunk but the last, so the chunks concatenate
     into one deflate stream.  zlib releases the GIL while it works.
     """
     view = memoryview(data)
-    head = view[:_PROBE]
-    probe = len(zlib.compress(head, 1)) - _ZLIB_FRAMING
-    level = 9 if probe < len(head) - len(head) // 32 else 0
+    level = 9 if _shrinks(view[:_PROBE]) or _shrinks(view[-_PROBE:]) else 0
     args = (level, zlib.DEFLATED, -zlib.MAX_WBITS, zlib.DEF_MEM_LEVEL,
             zlib.Z_DEFAULT_STRATEGY)
     comp = zlib.compressobj(*args) if zdict is None \
@@ -393,7 +424,8 @@ def create_package(block_id: str, output_dir: str | Path,
                     _add_member(tar, block_id, name, Path(src))
         os.replace(partial, archive_path)
         digest = sink.sha.hexdigest()
-        record_digest(archive_path, digest)
+        entries = tuple(name for name, _ in items)
+        record_digest(archive_path, digest, entries=entries)
     except BaseException as exc:
         partial.unlink(missing_ok=True)
         if isinstance(exc, OSError):
@@ -403,7 +435,7 @@ def create_package(block_id: str, output_dir: str | Path,
 
     package = BlockPackage(path=archive_path, emitter=block_id, digest=digest)
     # The writer knows the listing: seed the cached property.
-    vars(package)["entries"] = tuple(name for name, _ in items)
+    vars(package)["entries"] = entries
     return package
 
 
@@ -426,22 +458,31 @@ def _add_member(tar: tarfile.TarFile, block_id: str, name: str,
 def open_package(path: str | Path, emitter: str = "") -> BlockPackage:
     """Digest a package and check that it starts like one.
 
-    Only the gzip header and the first tar header are read; the member
-    listing waits for ``entries``.  A skip never needs it: a block skips only
-    when its build record holds this digest, and the record is written only
-    after these exact bytes were fully read by the build it commits.
+    A trusted sidecar (see ``_read_sidecar``) gives the digest and, when it
+    holds one, the member listing, which was packed into or read from these
+    exact bytes; the archive is then not opened at all.  Otherwise only the
+    gzip header and the first tar header are read, and the listing waits
+    for ``entries``.  A skip never needs it: a block skips only when its
+    build record holds this digest, and the record is written only after
+    these exact bytes were fully read by the build it commits.
     """
     path = Path(path)
-    try:
-        with tarfile.open(path, "r:gz"):
-            pass
-    except (tarfile.TarError, OSError, EOFError) as exc:
-        raise PackageError(f"corrupt or unreadable block package {path}: {exc}") \
-            from exc
+    record, trusted = _read_sidecar(path)
+    if not trusted or record["entries"] is None:
+        try:
+            with tarfile.open(path, "r:gz"):
+                pass
+        except (tarfile.TarError, OSError, EOFError) as exc:
+            raise PackageError(
+                f"corrupt or unreadable block package {path}: {exc}") from exc
     if not emitter:
         match = re.match(r"^bp_([a-z0-9_]+)_", path.name)
         emitter = match.group(1) if match else ""
-    return BlockPackage(path=path, emitter=emitter, digest=file_digest(path))
+    digest, entries = _digest_and_entries(path, record, trusted)
+    package = BlockPackage(path=path, emitter=emitter, digest=digest)
+    if entries is not None:
+        vars(package)["entries"] = tuple(entries)
+    return package
 
 
 def resolve_dependency(ref: str, project_dir: str | Path,
@@ -615,7 +656,8 @@ def import_package(pkg: BlockPackage, dest_dir: str | Path) -> dict:
         with tarfile.open(pkg.path, "r:gz", copybufsize=64 << 10) as tar:
             tar.extractall(staging, filter=_package_filter)
             # Extraction read every header: listing the members costs nothing.
-            entries = tuple(m.name for m in tar.getmembers() if m.isfile())
+            entries = tuple(sorted(m.name for m in tar.getmembers()
+                                   if m.isfile()))
         marker.unlink(missing_ok=True)
         shutil.rmtree(dest_dir, ignore_errors=True)
         os.replace(staging, dest_dir)

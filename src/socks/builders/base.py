@@ -167,8 +167,9 @@ class Builder:
     def import_dependencies(self, packages: dict[str, bp.BlockPackage], *,
                             extract: bool = True) -> None:
         """Extract each package into ``deps/``, or without ``extract`` only
-        read its member listing.  Either reads the whole archive, so a
-        corrupt package fails here."""
+        list its members.  Extraction reads the whole archive; the listing
+        does too unless a trusted sidecar holds it.  Either way a corrupt
+        package fails here."""
         for dep_id, pkg in packages.items():
             try:
                 if extract:
@@ -240,8 +241,10 @@ class Builder:
                 # never trusted.
                 self.record_path.unlink(missing_ok=True)
                 shutil.copy2(archive, published)
-                # Consumers read the copy's digest instead of hashing it.
-                bp.record_digest(published, package.digest)
+                # Consumers read the copy's digest and listing instead of
+                # reading the copy.
+                bp.record_digest(published, package.digest,
+                                 entries=package.entries)
         except OSError as exc:
             raise BuilderError(
                 f"block '{self.block_id}' cannot publish its imported "

@@ -14,6 +14,7 @@ which tools were spawned.
 from __future__ import annotations
 
 import fcntl
+import functools
 import logging
 import os
 import shlex
@@ -134,6 +135,18 @@ def bundled_containerfile(image: str) -> Path:
     return path
 
 
+@functools.lru_cache(maxsize=None)
+def daemon_problem(tool: str) -> str | None:
+    """Why ``tool info`` fails (no daemon, or no tool), or None when the
+    daemon answers.  Asked once per process, which is one ``socks`` run."""
+    try:
+        result = _run([tool, "info"], kind="container-tool", check=False)
+    except EnvironmentError_ as exc:
+        return str(exc)
+    return None if result.ok else (
+        result.stderr.strip() or f"'{tool} info' exited {result.returncode}")
+
+
 class EnvironmentManager:
     """Image lifecycle plus command execution for one environment spec."""
 
@@ -151,6 +164,10 @@ class EnvironmentManager:
         exists in the container tool's store (shared across projects)."""
         if self.spec.mode == "host":
             return {"built": False}
+        problem = daemon_problem(self.spec.tool)
+        if problem:
+            raise EnvironmentError_(
+                f"the {self.spec.tool} daemon does not answer: {problem}")
         containerfile = bundled_containerfile(self.spec.image)
         lock_dir = self.spec.project_dir / "temp" / ".locks"
         lock_dir.mkdir(parents=True, exist_ok=True)

@@ -21,6 +21,7 @@ from socks import cli
 from socks.blockpackage import archive_digest
 from socks.configtree import ConfigTree, process_project, resolve_imports, \
     load_project, resolve_placeholders
+from socks.environment import daemon_problem
 from socks.errors import ConfigError, CycleError
 from socks.fixture import materialize
 from socks.graph import ALL, DependencyGraph, Invocation, compute_active_set, \
@@ -268,8 +269,10 @@ def test_criterion_09_config_language(project_dir, tmp_path):
 @pytest.mark.criterion(10, "fixture passes in every available container "
                            "mode; host mode spawns no container tool")
 def test_criterion_10_mode_equivalence(tmp_path, recorder, tool):
-    if tool != "disabled" and shutil.which(tool) is None:
-        pytest.skip(f"{tool} is not available on this host")
+    # The probe socks itself runs before it builds a container image.
+    problem = tool != "disabled" and daemon_problem(tool)
+    if problem:
+        pytest.skip(f"{tool} cannot build here: {problem}")
     project_dir = materialize(tmp_path / f"proj-{tool}", container_tool=tool)
     recorder.reset()
     assert build_all(project_dir) == 0

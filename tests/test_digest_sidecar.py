@@ -1,6 +1,6 @@
-"""Digest sidecars and conditional fetch: a digest is reused only while the
-archive's stat identity proves its bytes unchanged, and a URL is fetched
-again only when its source may have changed."""
+"""Digest sidecars and conditional fetch: a digest and a member listing are
+reused only while the archive's stat identity proves its bytes unchanged,
+and a URL is fetched again only when its source may have changed."""
 
 from __future__ import annotations
 
@@ -9,6 +9,8 @@ import hashlib
 import http.server
 import json
 import os
+import random
+import tarfile
 import threading
 import time
 import urllib.request
@@ -18,6 +20,10 @@ from pathlib import Path
 import pytest
 
 from socks import blockpackage as bp
+from socks.fixture import materialize
+from socks.graph import ALL, Invocation
+from socks.orchestrator import run
+from socks.project import Project
 
 
 @pytest.fixture
@@ -285,3 +291,163 @@ def test_server_without_validators_is_fetched_every_time(tmp_path):
     assert requests == [[], [], []]
     assert json.loads(bp.digest_sidecar(copy).read_bytes())["validator"] \
         is None
+
+
+@pytest.fixture
+def listed(monkeypatch) -> list[Path]:
+    """Every archive that ``tarfile.open`` reads."""
+    seen = []
+    real = tarfile.open
+
+    def counting(name=None, *args, **kwargs):
+        if name is not None:
+            seen.append(Path(name))
+        return real(name, *args, **kwargs)
+
+    monkeypatch.setattr(tarfile, "open", counting)
+    return seen
+
+
+def sidecar_record(path: Path) -> dict:
+    return json.loads(bp.digest_sidecar(path).read_bytes())
+
+
+def test_create_package_records_the_names_it_packed(tmp_path, listed):
+    stage = tmp_path / "stage"
+    stage.mkdir()
+    files = {}
+    for name in ("z.bin", "boot/Image", "a.txt"):
+        files[name] = stage / name.replace("/", "_")
+        files[name].write_text(name, encoding="utf-8")
+    pkg = bp.create_package("demo", tmp_path / "temp" / "demo" / "output",
+                            files, stamp="20260101T000000Z")
+    assert sidecar_record(pkg.path)["entries"] \
+        == ["a.txt", "boot/Image", "z.bin"]
+    settle(pkg.path)
+    listed.clear()
+    opened = bp.open_package(pkg.path)
+    assert opened.entries == ("a.txt", "boot/Image", "z.bin")
+    assert listed == []
+
+
+def test_sidecar_without_a_listing_gains_it_on_first_use(owned, hashes,
+                                                         listed):
+    """A sidecar written before sidecars kept listings is trusted for its
+    digest; the first listing read from the archive is written into it."""
+    settle(owned.path)
+    sidecar = bp.digest_sidecar(owned.path)
+    record = sidecar_record(owned.path)
+    del record["entries"]
+    written = sidecar.stat().st_mtime_ns
+    sidecar.write_text(json.dumps(record), encoding="utf-8")
+    os.utime(sidecar, ns=(written, written))
+    hashes.clear()
+    listed.clear()
+
+    first = bp.open_package(owned.path)
+    assert first.digest == owned.digest
+    assert first.entries == ("payload.txt",)
+    assert hashes == []
+    assert listed == [owned.path, owned.path]  # the head, then the listing
+    assert sidecar_record(owned.path)["entries"] == ["payload.txt"]
+
+    settle(owned.path)
+    hashes.clear()
+    listed.clear()
+    assert bp.open_package(owned.path).entries == ("payload.txt",)
+    assert hashes == listed == []
+
+
+@pytest.mark.parametrize("entries", [
+    "payload.txt", 7, {"payload.txt": 1}, ["payload.txt", 3], [None]])
+def test_malformed_listing_is_ignored(owned, listed, entries):
+    settle(owned.path)
+    sidecar = bp.digest_sidecar(owned.path)
+    record = sidecar_record(owned.path)
+    record["entries"] = entries
+    written = sidecar.stat().st_mtime_ns
+    sidecar.write_text(json.dumps(record), encoding="utf-8")
+    os.utime(sidecar, ns=(written, written))
+    listed.clear()
+    opened = bp.open_package(owned.path)
+    assert opened.digest == owned.digest
+    assert opened.entries == ("payload.txt",)
+    assert listed == [owned.path, owned.path]
+
+
+def test_rewrite_in_place_is_listed_from_its_bytes(tmp_path, listed):
+    """Other members at the same size, written into the same inode with the
+    mtime put back: the stale listing in the sidecar is not used."""
+    data = random.Random(9).randbytes(20_000)  # stored: the size is fixed
+    packages = []
+    for name in ("old.bin", "new.bin"):
+        payload = tmp_path / f"{name}.payload"
+        payload.write_bytes(data)
+        packages.append(bp.create_package(
+            "demo", tmp_path / name / "temp" / "demo" / "output",
+            {name: payload}, stamp="20260101T000000Z"))
+    old, new = packages
+    settle(old.path)
+    replacement = new.path.read_bytes()
+    assert len(replacement) == old.path.stat().st_size
+    st = os.stat(old.path)
+    with open(old.path, "r+b") as fh:  # same inode, same size
+        fh.write(replacement)
+    os.utime(old.path, ns=(st.st_atime_ns, st.st_mtime_ns))
+    listed.clear()
+
+    opened = bp.open_package(old.path)
+    assert opened.digest == new.digest
+    assert opened.entries == ("new.bin",)
+    assert listed == [old.path, old.path]
+    assert sidecar_record(old.path)["digest"] == new.digest
+
+
+def test_image_rebuild_after_a_touch_lists_no_dependency_archive(
+        tmp_path, monkeypatch, listed):
+    """The image has no steps, so it needs only its dependencies' digests
+    and listings, which their sidecars hold.  An archive is opened only
+    when its sidecar was racy (written in the archive's timestamp tick)."""
+
+    def build_all(project_dir: Path):
+        report = run(Project.load(project_dir / "socks.yml"),
+                     Invocation(ALL, "build"))
+        assert report.outcome == "completed", report.error
+        return {e.block_id for e in report.entries if not e.skipped}
+
+    def boot_img(project_dir: Path) -> bytes:
+        package = max((project_dir / "temp" / "image" / "output")
+                      .glob("*.tar.gz"))
+        with tarfile.open(package, "r:gz") as tar:
+            return tar.extractfile("boot.img").read()
+
+    def edit(project_dir: Path) -> None:
+        with open(project_dir / "src" / "atf" / "bl31.c", "a",
+                  encoding="utf-8") as fh:
+            fh.write("/* touched */\n")
+
+    project_dir = materialize(tmp_path / "proj")
+    build_all(project_dir)
+    assert build_all(project_dir) == set()  # settles racy sidecars
+    edit(project_dir)
+
+    opens, racy_opens = [], []
+    real_open = bp.open_package
+
+    def open_package(path, emitter=""):
+        opens.append(Path(path))
+        if racy(Path(path)):
+            racy_opens.append(Path(path))
+        return real_open(path, emitter)
+
+    monkeypatch.setattr(bp, "open_package", open_package)
+    listed.clear()
+    assert build_all(project_dir) == {"atf", "image"}
+    assert len(set(opens)) == 8  # the image's dependencies; atf has none
+    assert set(listed) <= set(racy_opens)
+    monkeypatch.undo()
+
+    scratch = materialize(tmp_path / "scratch")
+    edit(scratch)
+    build_all(scratch)
+    assert boot_img(project_dir) == boot_img(scratch)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from socks import environment
 from socks.environment import (CONTAINER_MOUNT, HOST_TOOLS,
                                EnvironmentManager, execute_host,
                                make_env_spec)
@@ -138,6 +139,48 @@ def test_container_run_argv_shape(tmp_path, recorder, monkeypatch):
     assert argv[-2] == "-c"
     assert argv[-3] == "bash"
     assert "socks-mock-builder:socks" in argv
+
+
+@pytest.fixture
+def fresh_probe():
+    """Forget the daemon probe's answers before and after the test."""
+    environment.daemon_problem.cache_clear()
+    yield
+    environment.daemon_problem.cache_clear()
+
+
+@pytest.mark.parametrize("answer", [(1, "Cannot connect to the daemon"),
+                                    (0, "")])
+def test_daemon_is_probed_once_before_any_image_work(
+        tmp_path, recorder, monkeypatch, fresh_probe, answer):
+    import subprocess
+
+    class FakeProc:
+        returncode, stderr = answer
+        stdout = ""
+
+    monkeypatch.setattr(subprocess, "run", lambda *a, **k: FakeProc())
+    for _ in range(2):
+        env = container_env(tmp_path)
+        if FakeProc.returncode:
+            with pytest.raises(EnvironmentError_,
+                               match="docker daemon does not answer: "
+                                     "Cannot connect to the daemon"):
+                env.ensure_image()
+        else:
+            env.ensure_image()
+    argvs = [argv[:2] for _, argv in recorder.calls]
+    if FakeProc.returncode:
+        assert argvs == [["docker", "info"]]
+    else:
+        assert argvs == [["docker", "info"]] + 2 * [["docker", "image"]]
+
+
+def test_missing_container_tool_is_a_located_error(tmp_path, monkeypatch,
+                                                   fresh_probe):
+    monkeypatch.setenv("PATH", str(tmp_path))
+    with pytest.raises(EnvironmentError_, match="cannot start docker"):
+        container_env(tmp_path).ensure_image()
 
 
 def test_interactive_session_requires_container(tmp_path):

@@ -298,8 +298,9 @@ def chunked_gzip_reference(data: bytes, store: bool = True) -> bytes:
     time and a CRC32/size trailer.
 
     A chunk is deflated at level 9, or with ``store`` it is stored (level 0)
-    when a level-1 probe of its first 4 KiB saves less than 1/32 of them
-    (``zlib.compress`` adds 6 bytes of framing).  A stored chunk is fed to
+    when a level-1 probe of its first 4 KiB and one of its last 4 KiB each
+    save less than 1/32 of them (``zlib.compress`` adds 6 bytes of
+    framing).  A stored chunk is fed to
     zlib in the writer's 16 KiB slices: zlib ends stored blocks where the
     slices let it, and level 9 comes out the same however it is fed."""
     header = b"\x1f\x8b\x08\x00" + bytes(4) + b"\x02\xff"
@@ -307,9 +308,9 @@ def chunked_gzip_reference(data: bytes, store: bool = True) -> bytes:
     starts = range(0, len(data), CHUNK)
     for start in starts:
         chunk = data[start:start + CHUNK]
-        head = chunk[:4 << 10]
-        stored = store and \
-            32 * (len(zlib.compress(head, 1)) - 6) >= 31 * len(head)
+        stored = store and all(
+            32 * (len(zlib.compress(end, 1)) - 6) >= 31 * len(end)
+            for end in (chunk[:4 << 10], chunk[-(4 << 10):]))
         level = 0 if stored else 9
         if start:
             comp = zlib.compressobj(level, zlib.DEFLATED, -15, 8, 0,
@@ -356,8 +357,8 @@ member_specs = st.dictionaries(
 # finished.  The second example adds one record beyond it.  Then: an
 # archive of six random chunks; zeros, then random chunks; a second chunk
 # whose first 4 KiB are random (the member's data starts after the
-# 512-byte header) and whose rest is zeros, which is stored whole; and a
-# stream of 13 records, whose last chunk is 2 KiB.
+# 512-byte header) and whose rest is zeros, which is deflated for its
+# tail; and a stream of 13 records, whose last chunk is 2 KiB.
 @example(specs={"rootfs.img": (5 * CHUNK - 1536, 0, False, "random+zeros")})
 @example(specs={"rootfs.img": (5 * CHUNK - 1024, 0, False, "random+zeros")})
 @example(specs={"rootfs.img": (5 * CHUNK, 1, False, "random")})
@@ -411,15 +412,22 @@ def test_compressible_package_keeps_the_level_9_encoding(tmp_path):
         assert pkg.path.read_bytes() == plain
 
 
-def test_a_chunk_whose_head_is_random_is_stored_whole():
-    """The rule's worst case: only the head is probed, so 60 KiB of zeros
-    behind 4 KiB of random bytes are stored, not deflated."""
-    chunk = random.Random(5).randbytes(4 << 10) + bytes(CHUNK - (4 << 10))
-    encoded = b"".join(bp._deflate(chunk, None, True))
-    assert len(encoded) > CHUNK
-    assert zlib.decompress(encoded, -15) == chunk
+def test_a_chunk_whose_head_is_random_is_deflated_for_its_tail():
+    """60 KiB of zeros behind 4 KiB of random bytes are deflated, and so
+    are they in front of them: either end of a chunk that compresses
+    decides.  Only a chunk whose two ends are random is stored whole."""
+    rng = random.Random(5)
+    chunk = rng.randbytes(4 << 10) + bytes(CHUNK - (4 << 10))
     swapped = chunk[4 << 10:] + chunk[:4 << 10]
-    assert len(b"".join(bp._deflate(swapped, None, True))) < 5 << 10
+    for data in (chunk, swapped):
+        encoded = b"".join(bp._deflate(data, None, True))
+        assert len(encoded) < 5 << 10
+        assert zlib.decompress(encoded, -15) == data
+    ends = rng.randbytes(4 << 10) + bytes(CHUNK - (8 << 10)) \
+        + rng.randbytes(4 << 10)
+    encoded = b"".join(bp._deflate(ends, None, True))
+    assert len(encoded) > CHUNK
+    assert zlib.decompress(encoded, -15) == ends
 
 
 def test_packaging_memory_does_not_grow_with_artifact_size(tmp_path):
