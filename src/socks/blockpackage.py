@@ -15,25 +15,26 @@ from __future__ import annotations
 
 import fnmatch
 import glob as globlib
-import hashlib
 import json
 import os
 import re
 import shutil
 import struct
-import tarfile
 import zlib
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cached_property
 from pathlib import Path
-from urllib.parse import urlparse
+from typing import TYPE_CHECKING, NamedTuple
+from urllib.parse import unquote, urlparse
 
 from .errors import ContentRuleViolation, PackageError
 from .incremental import write_json
+
+if TYPE_CHECKING:
+    import tarfile
+    from concurrent.futures import ThreadPoolExecutor
 
 PACKAGE_NAME_RE = re.compile(r"^bp_[a-z0-9_]+_[0-9TZ:-]+\.tar\.gz$")
 STAMP_FORMAT = "%Y%m%dT%H%M%SZ"
@@ -47,7 +48,6 @@ def is_url(ref: str) -> bool:
     return urlparse(ref).scheme in ("http", "https", "file")
 
 
-@dataclass(frozen=True)
 class BlockPackage:
     """A block package on disk.
 
@@ -57,12 +57,17 @@ class BlockPackage:
     Deciding whether a block can be skipped needs only the digest.
     """
 
-    path: Path
-    emitter: str
-    digest: str
+    def __init__(self, path: Path, emitter: str, digest: str):
+        self.path = path
+        self.emitter = emitter
+        self.digest = digest
 
     @cached_property
     def entries(self) -> tuple[str, ...]:
+        # tarfile is imported in each function that reads or writes an
+        # archive: a no-op build does neither.
+        import tarfile
+
         try:
             with tarfile.open(self.path, "r:gz") as tar:
                 entries = tuple(sorted(m.name for m in tar if m.isfile()))
@@ -83,8 +88,7 @@ class BlockPackage:
         return entries
 
 
-@dataclass(frozen=True)
-class ContentRule:
+class ContentRule(NamedTuple):
     """Required/optional glob manifest a consumer enforces on a package."""
 
     emitter: str
@@ -99,6 +103,10 @@ def make_stamp(now: datetime | None = None) -> str:
 
 def archive_digest(path: str | Path) -> str:
     """SHA-256 of a file (an archive's compressed bytes), read in chunks."""
+    # Imported here and in _HashingWriter: OpenSSL takes milliseconds to
+    # load, and a no-op build hashes nothing.
+    import hashlib
+
     sha = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
@@ -214,6 +222,8 @@ class _HashingWriter:
     """Write-through file wrapper that hashes every byte it passes on."""
 
     def __init__(self, raw):
+        import hashlib
+
         self.raw = raw
         self.sha = hashlib.sha256()
 
@@ -350,6 +360,7 @@ class _ChunkedGzipWriter:
             self._put(_deflate(chunk, zdict, False))
             return
         if self.pool is None:
+            from concurrent.futures import ThreadPoolExecutor
             self.pool = ThreadPoolExecutor(self.workers,
                                            thread_name_prefix="deflate")
         self.inflight.append(self.pool.submit(_deflate, chunk, zdict, False))
@@ -376,6 +387,8 @@ def _check_member_path(name: str) -> None:
 
 def _package_filter(member: tarfile.TarInfo, dest: str) -> tarfile.TarInfo:
     """Extraction filter: block packages carry plain files inside ``dest``."""
+    import tarfile
+
     _check_member_path(member.name)
     if member.islnk() or member.issym():
         raise PackageError(
@@ -394,6 +407,8 @@ def create_package(block_id: str, output_dir: str | Path,
     compression threads.  Artifacts are streamed, so memory use does not
     grow with their size.
     """
+    import tarfile
+
     items = sorted(dict(files).items())
     if not items:
         raise PackageError(f"block '{block_id}' produced no artifacts; "
@@ -435,12 +450,14 @@ def create_package(block_id: str, output_dir: str | Path,
 
     package = BlockPackage(path=archive_path, emitter=block_id, digest=digest)
     # The writer knows the listing: seed the cached property.
-    vars(package)["entries"] = entries
+    package.entries = entries
     return package
 
 
 def _add_member(tar: tarfile.TarFile, block_id: str, name: str,
                 src: Path) -> None:
+    import tarfile
+
     if not src.is_file():
         raise PackageError(
             f"artifact missing while packaging block '{block_id}': {src}")
@@ -469,6 +486,8 @@ def open_package(path: str | Path, emitter: str = "") -> BlockPackage:
     path = Path(path)
     record, trusted = _read_sidecar(path)
     if not trusted or record["entries"] is None:
+        import tarfile
+
         try:
             with tarfile.open(path, "r:gz"):
                 pass
@@ -481,7 +500,7 @@ def open_package(path: str | Path, emitter: str = "") -> BlockPackage:
     digest, entries = _digest_and_entries(path, record, trusted)
     package = BlockPackage(path=path, emitter=emitter, digest=digest)
     if entries is not None:
-        vars(package)["entries"] = tuple(entries)
+        package.entries = tuple(entries)
     return package
 
 
@@ -519,11 +538,6 @@ def _download(url: str, dest_dir: Path, credentials: dict | None) -> Path:
     the request headers of a conditional GET, which a 304 answers without
     a body.  A source without a validator is fetched every time.
     """
-    # Imported here: http.client, email and ssl come with it, and only
-    # fetches need them.
-    import http.client
-    import urllib.error
-    import urllib.request
     parsed = urlparse(url)
     dest_dir.mkdir(parents=True, exist_ok=True)
     name = Path(parsed.path).name or "download.tar.gz"
@@ -531,15 +545,22 @@ def _download(url: str, dest_dir: Path, credentials: dict | None) -> Path:
     record, trusted = _read_sidecar(dest)
     known = record.get("validator") if trusted else None
     validator, conditional = None, {}
-    request = urllib.request.Request(url)
     if parsed.scheme == "file":
         try:
-            validator = _identity(urllib.request.url2pathname(parsed.path))
+            # What urllib.request.url2pathname does on POSIX.
+            validator = _identity(unquote(parsed.path))
         except OSError:
             pass  # urlopen names the problem
         if known is not None and known == validator:
             return dest
-    else:
+    # Imported here, after an unchanged file:// source returned: http.client,
+    # email and ssl come with it, and only fetches need them.
+    import http.client
+    import urllib.error
+    import urllib.request
+
+    request = urllib.request.Request(url)
+    if parsed.scheme != "file":
         if credentials:
             creds = credentials.get(parsed.hostname or "", {})
             if "username" in creds:
@@ -648,6 +669,8 @@ def import_package(pkg: BlockPackage, dest_dir: str | Path) -> dict:
     if dest_dir.is_dir() and marker.is_file() \
             and marker.read_bytes() == pkg.digest.encode():
         return {"imported": False, "digest": pkg.digest}
+    import tarfile
+
     staging = dest_dir.with_name(f".{dest_dir.name}.partial")
     try:
         shutil.rmtree(staging, ignore_errors=True)
@@ -668,5 +691,5 @@ def import_package(pkg: BlockPackage, dest_dir: str | Path) -> dict:
             raise PackageError(
                 f"extraction failed for {pkg.path}: {exc}") from exc
         raise
-    vars(pkg)["entries"] = entries
+    pkg.entries = entries
     return {"imported": True, "digest": pkg.digest}

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import shutil
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .. import blockpackage as bp
 from ..configtree import ConfigTree
@@ -35,23 +35,24 @@ from ..registry import BuilderDescriptor, CommandDescriptor
 from ..validation import BlockSpec, GeneralSettings
 
 
-@dataclass(frozen=True)
-class ProjectContext:
+class ProjectContext(NamedTuple):
     project_dir: Path
     config_file: Path
     tree: ConfigTree
     section_texts: dict[str, str]
 
 
-@dataclass
 class StageReport:
-    block_id: str
-    verb: str
-    skipped: bool = False
-    duration: float = 0.0
-    artifacts: list[str] = field(default_factory=list)
-    reasons: list[str] = field(default_factory=list)
-    exit_status: int = 0
+    def __init__(self, block_id: str, verb: str, skipped: bool = False,
+                 duration: float = 0.0, artifacts: list[str] | None = None,
+                 reasons: list[str] | None = None, exit_status: int = 0):
+        self.block_id = block_id
+        self.verb = verb
+        self.skipped = skipped
+        self.duration = duration
+        self.artifacts = [] if artifacts is None else artifacts
+        self.reasons = [] if reasons is None else reasons
+        self.exit_status = exit_status
 
 
 class Builder:

@@ -11,7 +11,6 @@ from __future__ import annotations
 from functools import partial
 from pathlib import Path
 
-from ..configedit import plan_list_append
 from ..errors import BuilderError
 from ..registry import BuilderDescriptor, CommandDescriptor
 from ..sources import (SourceRef, apply_config_snippets, apply_patches,
@@ -98,6 +97,9 @@ class RepoScriptBuilder(ScriptBuilder):
     def list_edit(self, key: str):
         """Planner of the edit that appends new file names to this block's
         ``key`` list."""
+        # Imported here: only the two commands that edit the config need it.
+        from ..configedit import plan_list_append
+
         return partial(plan_list_append, self.context.tree, self.block_id,
                        key)
 

@@ -7,11 +7,10 @@ in the block's config section.
 
 from __future__ import annotations
 
-import argparse
 import logging
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import BuilderError, GraphError, SocksError, UsageError
 from .graph import ALL, Invocation, check_block
@@ -25,24 +24,39 @@ HELP_WIDTH = 96
 log = logging.getLogger(__name__)
 
 
-@dataclass
-class HelpRequest:
+class HelpRequest(NamedTuple):
     level: str                 # "tool" | "block" | "command"
     block: str | None = None
     command: str | None = None
 
 
-@dataclass
 class ParsedArgs:
-    help: HelpRequest | None = None
-    show_config: bool = False
-    project_file: str = DEFAULT_PROJECT_FILE
-    verbose: bool = False
-    invocation: Invocation | None = None
+    def __init__(self, help: HelpRequest | None = None,
+                 show_config: bool = False,
+                 project_file: str = DEFAULT_PROJECT_FILE,
+                 verbose: bool = False,
+                 invocation: Invocation | None = None):
+        self.help = help
+        self.show_config = show_config
+        self.project_file = project_file
+        self.verbose = verbose
+        self.invocation = invocation
 
 
-def _formatter(prog: str) -> argparse.HelpFormatter:
-    return argparse.HelpFormatter(prog, width=HELP_WIDTH)
+def _help_parser(prog: str, **kwargs):
+    """A parser that only formats help text, and its options group, which
+    holds ``-h``."""
+    # Imported here: only help texts need argparse.
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog=prog, add_help=False, **kwargs,
+        formatter_class=lambda prog: argparse.HelpFormatter(
+            prog, width=HELP_WIDTH))
+    opts = parser.add_argument_group("options")
+    opts.add_argument("-h", "--help", action="store_true",
+                      help="show this help message and exit")
+    return parser, opts
 
 
 USAGE = ("usage: socks [-h] [-f FILE] [-v] [--show-config] "
@@ -116,15 +130,12 @@ def parse(argv: list[str]) -> ParsedArgs:
 
 
 def tool_help(project: Project | None) -> str:
-    parser = argparse.ArgumentParser(
-        prog="socks", formatter_class=_formatter, add_help=False,
+    parser, opts = _help_parser(
+        "socks",
         usage="socks [-h] [-f FILE] [-v] [--show-config] "
               "{<block>|all} [-g] <command>",
         description="Modular build orchestrator for multi-component "
                     "bootable system images.")
-    opts = parser.add_argument_group("options")
-    opts.add_argument("-h", "--help", action="store_true",
-                      help="show this help message and exit")
     opts.add_argument("-f", "--file", metavar="FILE",
                       help=f"project configuration file "
                            f"(default: ./{DEFAULT_PROJECT_FILE})")
@@ -167,12 +178,8 @@ def block_help(project: Project, block_id: str) -> str:
         return tool_help(project)
     descriptor = _descriptor(project, block_id)
     verbs = descriptor.verbs()
-    parser = argparse.ArgumentParser(
-        prog=f"socks {block_id}", formatter_class=_formatter, add_help=False,
-        description=descriptor.description)
-    opts = parser.add_argument_group("options")
-    opts.add_argument("-h", "--help", action="store_true",
-                      help="show this help message and exit")
+    parser, opts = _help_parser(f"socks {block_id}",
+                                description=descriptor.description)
     opts.add_argument("-g", "--group", action="store_true",
                       help="Interact not only with the specified block, but "
                            "also with all blocks on which this block "

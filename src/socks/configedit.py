@@ -16,7 +16,7 @@ from typing import Callable
 
 import yaml
 
-from .configtree import ConfigTree, _Loader
+from .configtree import ConfigTree, _Loader, _named_loader
 from .errors import ConfigError
 
 def _scalar(item: str) -> str:
@@ -46,8 +46,7 @@ def plan_list_append(tree: ConfigTree, block_id: str, key: str,
     key_path = f"blocks/{block_id}/project/{key}"
     path = Path(tree.origin(key_path).rsplit(":", 1)[0])
     text = path.read_bytes().decode("utf-8")
-    loader = _Loader(text)
-    loader.name = str(path)
+    loader = _named_loader(text, str(path))
     try:
         node = loader.get_single_node()
     finally:

@@ -13,16 +13,12 @@ which tools were spawned.
 
 from __future__ import annotations
 
-import fcntl
 import functools
 import logging
 import os
-import shlex
-import subprocess
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import EnvironmentError_, ProcessError
 
@@ -42,8 +38,7 @@ HOST_TOOLS = frozenset({
 CONTAINER_MOUNT = "/socks/project"
 
 
-@dataclass(frozen=True)
-class ProcessResult:
+class ProcessResult(NamedTuple):
     command: str
     returncode: int
     stdout: str
@@ -73,6 +68,10 @@ def _notify(kind: str, argv: list[str]) -> None:
 def _run(argv: list[str], *, kind: str, cwd: str | Path | None = None,
          env: dict | None = None, check: bool = True,
          capture: bool = True) -> ProcessResult:
+    # Imported here: a no-op build spawns nothing.
+    import shlex
+    import subprocess
+
     log.info("exec [%s] %s", kind, shlex.join(argv))
     _notify(kind, argv)
     full_env = dict(os.environ)
@@ -106,8 +105,7 @@ def execute_host(argv: list[str], *, cwd: str | Path | None = None,
     return _run(list(argv), kind="host", cwd=cwd, env=env, check=check)
 
 
-@dataclass(frozen=True)
-class EnvSpec:
+class EnvSpec(NamedTuple):
     image: str
     tag: str
     tool: str  # docker | podman
@@ -162,6 +160,8 @@ class EnvironmentManager:
     def ensure_image(self) -> dict:
         """Build the image from its bundled definition unless it already
         exists in the container tool's store (shared across projects)."""
+        import fcntl
+
         if self.spec.mode == "host":
             return {"built": False}
         problem = daemon_problem(self.spec.tool)
@@ -216,6 +216,8 @@ class EnvironmentManager:
         return self._container_path(host_path)
 
     def interactive_session(self, workdir: str | Path) -> int:
+        import subprocess
+
         if self.spec.mode == "host":
             raise EnvironmentError_(
                 "start-container requires containerization; "

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import glob as globlib
 import heapq
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .blockpackage import is_url
 from .errors import CycleError, GraphError
@@ -19,8 +19,7 @@ from .validation import BlockSpec
 ALL = "all"
 
 
-@dataclass(frozen=True)
-class DependencyGraph:
+class DependencyGraph(NamedTuple):
     nodes: frozenset[str]
     # dep -> set of dependents
     edges: dict[str, frozenset[str]]
@@ -32,8 +31,7 @@ class DependencyGraph:
         return {(u, v) for u, vs in self.edges.items() for v in vs}
 
 
-@dataclass(frozen=True)
-class Invocation:
+class Invocation(NamedTuple):
     target: str  # block id or ALL
     command: str
     group: bool = False

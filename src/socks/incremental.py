@@ -14,8 +14,8 @@ import logging
 import os
 import stat
 import time
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import IncrementalStateError
 
@@ -98,8 +98,7 @@ def stale_by_timestamps(src: list[str | Path], out: list[str | Path]) -> bool:
     return src_mtime > out_mtime
 
 
-@dataclass(frozen=True)
-class BuildRecord:
+class BuildRecord(NamedTuple):
     """What a block's last published package was built from (``build.json``).
 
     ``inputs`` maps each dependency id to the digest of the package it
@@ -129,7 +128,7 @@ class BuildRecord:
         return record
 
     def save(self, path: str | Path) -> None:
-        write_json(path, asdict(self))
+        write_json(path, self._asdict())
 
 
 def write_json(path: str | Path, data) -> None:
@@ -145,10 +144,10 @@ def write_json(path: str | Path, data) -> None:
         raise
 
 
-@dataclass
 class RebuildDecision:
-    rebuild: bool
-    reasons: list[str] = field(default_factory=list)
+    def __init__(self, rebuild: bool, reasons: list[str] | None = None):
+        self.rebuild = rebuild
+        self.reasons = [] if reasons is None else reasons
 
 
 def needs_rebuild(*, record_path: str | Path, output_dir: str | Path,

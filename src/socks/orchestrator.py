@@ -10,7 +10,6 @@ from __future__ import annotations
 import logging
 import signal
 import threading
-from dataclasses import dataclass, field
 
 from .blockpackage import run_digest_memo
 from .builders.base import StageReport
@@ -30,12 +29,14 @@ _in_flight = 0
 _interrupted = False
 
 
-@dataclass
 class RunReport:
-    entries: list[StageReport] = field(default_factory=list)
-    outcome: str = COMPLETED
-    at_block: str | None = None
-    error: SocksError | None = None
+    def __init__(self, entries: list[StageReport] | None = None,
+                 outcome: str = COMPLETED, at_block: str | None = None,
+                 error: SocksError | None = None):
+        self.entries = [] if entries is None else entries
+        self.outcome = outcome
+        self.at_block = at_block
+        self.error = error
 
     @property
     def exit_code(self) -> int:
@@ -65,11 +66,13 @@ def plan(project: Project, inv: Invocation) -> list[str]:
         project.builders[inv.target].descriptor.require_command(
             inv.command, inv.target)
         return order
-    supported = [b for b in order
-                 if project.builders[b].descriptor.command(inv.command)]
-    for block_id in set(order) - set(supported):
-        log.info("block '%s' skipped: its builder has no '%s' command",
-                 block_id, inv.command)
+    supported = []
+    for block_id in order:
+        if project.builders[block_id].descriptor.command(inv.command):
+            supported.append(block_id)
+        else:
+            log.info("block '%s' skipped: its builder has no '%s' command",
+                     block_id, inv.command)
     return supported
 
 

@@ -7,8 +7,7 @@ registry is populated at startup and read-only afterwards.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import BuilderError
 from .validation import BlockProjectModel
@@ -17,32 +16,42 @@ VERB_RE = re.compile(r"^[a-z][a-z0-9]*(-[a-z0-9]+)*$")
 CATEGORIES = ("building", "configuring", "debugging", "cleaning")
 
 
-@dataclass(frozen=True)
-class CommandDescriptor:
+class _Command(NamedTuple):
     verb: str
     category: str
     help: str
 
-    def __post_init__(self):
-        if not VERB_RE.match(self.verb):
-            raise ValueError(f"invalid command verb: {self.verb!r}")
-        if self.category not in CATEGORIES:
-            raise ValueError(f"invalid command category: {self.category!r}")
+
+class CommandDescriptor(_Command):
+    __slots__ = ()
+
+    def __new__(cls, verb: str, category: str, help: str):
+        if not VERB_RE.match(verb):
+            raise ValueError(f"invalid command verb: {verb!r}")
+        if category not in CATEGORIES:
+            raise ValueError(f"invalid command category: {category!r}")
+        return super().__new__(cls, verb, category, help)
 
 
-@dataclass(frozen=True)
-class BuilderDescriptor:
+class _Builder(NamedTuple):
     name: str
     description: str
     schema: type[BlockProjectModel]
     commands: tuple[CommandDescriptor, ...]
 
-    def __post_init__(self):
-        if not self.commands:
-            raise ValueError(f"builder {self.name} declares no commands")
-        verbs = [c.verb for c in self.commands]
+
+class BuilderDescriptor(_Builder):
+    __slots__ = ()
+
+    def __new__(cls, name: str, description: str,
+                schema: type[BlockProjectModel],
+                commands: tuple[CommandDescriptor, ...]):
+        if not commands:
+            raise ValueError(f"builder {name} declares no commands")
+        verbs = [c.verb for c in commands]
         if len(set(verbs)) != len(verbs):
-            raise ValueError(f"builder {self.name} has duplicate verbs")
+            raise ValueError(f"builder {name} has duplicate verbs")
+        return super().__new__(cls, name, description, schema, commands)
 
     def verbs(self) -> list[str]:
         return [c.verb for c in self.commands]

@@ -9,15 +9,12 @@ reproduces the exact same tree.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import re
 import shutil
-import tempfile
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .environment import execute_host
 from .errors import ProcessError, SourceError
@@ -31,8 +28,7 @@ KCONFIG_LINE_RE = re.compile(
     r"^(?:([A-Za-z0-9_]+)=.*|# ([A-Za-z0-9_]+) is not set)$")
 
 
-@dataclass(frozen=True)
-class SourceRef:
+class SourceRef(NamedTuple):
     """A block's git checkout and its record (``checkout.json``): the
     commit after which local commits count as new, and the patches applied,
     in order, each with its digest."""
@@ -75,6 +71,9 @@ def _load_record(ref: SourceRef) -> dict:
 
 def _series(patches: list[Path]) -> list[list[str]]:
     """``[name, sha256]`` of each patch file, in order."""
+    # Imported here: a no-op build hashes no patch.
+    import hashlib
+
     for patch in patches:
         if not patch.is_file():
             raise SourceError(f"patch file not found: {patch}")
@@ -200,6 +199,9 @@ def create_patches_from_commits(ref: SourceRef, patches_dir: Path,
     written, and the edit is written last.  Returns the created file names
     (empty when there is nothing new).
     """
+    # Imported here: only this command stages files in a temporary folder.
+    import tempfile
+
     checkout = ref.checkout_dir
     record = _load_record(ref)
     pending = _unapplied(ref, record, _series(patches))

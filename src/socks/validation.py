@@ -13,7 +13,6 @@ import functools
 import os
 import types
 import typing
-from dataclasses import dataclass, field
 
 from .configtree import ConfigTree
 from .errors import ValidationError
@@ -22,8 +21,7 @@ CONTAINER_TOOLS = ("docker", "podman", "disabled")
 ALL_CORES = "all-cores"
 
 
-@dataclass(frozen=True)
-class ProjectType:
+class ProjectType(typing.NamedTuple):
     """Block-completeness rules for one SoC architecture."""
 
     name: str
@@ -56,8 +54,7 @@ register_project_type(ProjectType(
 ))
 
 
-@dataclass(frozen=True)
-class GeneralSettings:
+class GeneralSettings(typing.NamedTuple):
     project_type: str
     project_name: str
     container_tool: str = "docker"
@@ -69,16 +66,21 @@ class GeneralSettings:
         return int(self.max_threads)
 
 
-@dataclass(frozen=True)
 class BlockSpec:
-    block_id: str
-    builder_name: str
-    source_mode: str = "build"
-    import_src: str | None = None
-    container_image: str = ""
-    container_tag: str = ""
-    dependencies: dict[str, str] = field(default_factory=dict)
-    builder_specific: dict = field(default_factory=dict)
+    def __init__(self, block_id: str, builder_name: str,
+                 source_mode: str = "build", import_src: str | None = None,
+                 container_image: str = "", container_tag: str = "",
+                 dependencies: dict[str, str] | None = None,
+                 builder_specific: dict | None = None):
+        self.block_id = block_id
+        self.builder_name = builder_name
+        self.source_mode = source_mode
+        self.import_src = import_src
+        self.container_image = container_image
+        self.container_tag = container_tag
+        self.dependencies = {} if dependencies is None else dependencies
+        self.builder_specific = \
+            {} if builder_specific is None else builder_specific
 
 
 class Schema:

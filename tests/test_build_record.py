@@ -21,6 +21,7 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from helpers import modules_loaded_by
 
 from socks import blockpackage as bp
 from socks import cli, environment
@@ -372,6 +373,22 @@ def test_noop_with_file_url_imports_neither_hashes_nor_fetches(
                                                                          **k))
     assert rebuilt(build_ok(project_dir)) == set()
     assert (hashed, opened) == ([], [])
+
+
+def test_noop_with_file_url_loads_no_url_library(project_dir, tmp_path):
+    """An unchanged ``file://`` source is judged by its stat identity
+    alone, so the no-op needs neither urllib.request nor hashlib."""
+    ci = vivado_package(tmp_path / "ci", "<hardware rev='ci'/>\n", CI_STAMP)
+    import_vivado(project_dir, ci.path.as_uri())
+    time.sleep(0.02)  # the source is older than the fetch's first tick
+    build_ok(project_dir)
+    time.sleep(0.02)  # and the sidecars are older than this no-op
+    assert rebuilt(build_ok(project_dir)) == set()
+    config = str(project_dir / "socks.yml")
+    modules = modules_loaded_by(
+        "from socks.cli import main\n"
+        f"assert main(['-f', {config!r}, 'all', 'build']) == 0")
+    assert sorted({"urllib.request", "hashlib"} & modules) == []
 
 
 def ci_project(root: Path, rev: str) -> Path:

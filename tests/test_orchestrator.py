@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import logging
 import os
 
 import pytest
@@ -44,6 +45,15 @@ def test_plan_all_skips_unsupported_verbs(project):
     # Only the repo builder knows create-patches; 'all' quietly narrows.
     order = plan(project, Invocation(ALL, "create-patches"))
     assert order == ["kernel"]
+
+
+def test_plan_logs_unsupported_blocks_in_execution_order(project, caplog):
+    expected = [b for b in plan(project, BUILD_ALL) if b != "kernel"]
+    caplog.set_level(logging.INFO, logger="socks.orchestrator")
+    plan(project, Invocation(ALL, "create-patches"))
+    logged = [record.args[0] for record in caplog.records
+              if "has no 'create-patches' command" in record.getMessage()]
+    assert logged == expected
 
 
 def test_plan_explicit_unsupported_verb_rejected(project):

@@ -3,15 +3,9 @@ of the command line front end."""
 
 from __future__ import annotations
 
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
+from helpers import modules_loaded_by
 
-import socks
 from socks.builders.repo import RepoProjectModel
 from socks.builders.script import ScriptProjectModel
 from socks.configtree import ConfigTree
@@ -181,15 +175,18 @@ def test_defaults_not_shared_between_blocks(project_dir):
     assert reloaded.specs["image"].builder_specific["steps"] == []
 
 
-def test_cli_import_loads_no_pydantic_and_no_urllib_request():
-    src = str(Path(socks.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    code = ("import json, sys; import socks.cli; "
-            "print(json.dumps(sorted(sys.modules)))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    modules = json.loads(out)
-    assert "socks.cli" in modules
-    assert [m for m in modules if m.startswith("pydantic")] == []
-    assert "urllib.request" not in modules
+# Modules that neither the import of the CLI nor --show-config needs.
+NOT_AT_STARTUP = ("tarfile", "concurrent.futures", "subprocess", "argparse",
+                  "dataclasses", "socks.configedit", "socks.fixture",
+                  "urllib.request", "hashlib")
+
+
+def test_cli_import_loads_no_pydantic_and_no_urllib_request(project_dir):
+    config = project_dir / "socks.yml"
+    for code in ("import socks.cli",
+                 "from socks.cli import main\n"
+                 f"assert main(['-f', {str(config)!r}, '--show-config']) == 0"):
+        modules = modules_loaded_by(code)
+        assert "socks.cli" in modules
+        assert [m for m in modules if m.startswith("pydantic")] == []
+        assert sorted(set(NOT_AT_STARTUP) & modules) == [], code
