@@ -198,18 +198,20 @@ def _digest_and_entries(path: Path, record: dict | None,
     """The digest of the archive at ``path`` and, when its sidecar
     (``record``) holds one for these bytes, its member listing.
 
-    A re-hash of an archive in a block's ``output/`` or ``imports/`` under
-    ``temp/`` rewrites its sidecar; it keeps the recorded validator and
-    listing only when the bytes are still the recorded ones.  Archives
-    elsewhere belong to the user and get no sidecar.
+    A re-hash of an archive in a block's ``output/``, ``imports/`` or
+    ``imports/<dep>/`` under ``temp/`` rewrites its sidecar; it keeps the
+    recorded validator and listing only when the bytes are still the
+    recorded ones.  Archives elsewhere belong to the user and get no
+    sidecar.
     """
     if trusted:
         return record["digest"], record["entries"]
     digest = _memo_digest(path)
     same = record is not None and record.get("digest") == digest
     entries = record["entries"] if same else None
-    if path.parent.name in ("output", "imports") \
-            and path.parent.parent.parent.name == "temp":
+    names = [p.name for p in path.parents][:4] + [""] * 4
+    if names[0] in ("output", "imports") and names[2] == "temp" \
+            or names[1] == "imports" and names[3] == "temp":
         try:
             record_digest(path, digest,
                           record.get("validator") if same else None, entries)
@@ -525,6 +527,11 @@ def resolve_dependency(ref: str, project_dir: str | Path,
     return max(matches, key=lambda p: p.name)
 
 
+def download_name(url: str) -> str:
+    """The file name that a fetch of ``url`` is kept under."""
+    return Path(urlparse(url).path).name or "download.tar.gz"
+
+
 def _download(url: str, dest_dir: Path, credentials: dict | None) -> Path:
     """Fetch ``url`` into ``dest_dir`` with one GET, unless the source is
     unchanged since the last fetch; basic-auth credentials are looked up by
@@ -540,7 +547,7 @@ def _download(url: str, dest_dir: Path, credentials: dict | None) -> Path:
     """
     parsed = urlparse(url)
     dest_dir.mkdir(parents=True, exist_ok=True)
-    name = Path(parsed.path).name or "download.tar.gz"
+    name = download_name(url)
     dest = dest_dir / name
     record, trusted = _read_sidecar(dest)
     known = record.get("validator") if trusted else None

@@ -10,7 +10,10 @@ project folder:
         stage/        declared artifacts collected before packaging
         deps/<dep>/   extracted dependency packages
         deps/.<dep>.digest  digest of the package extracted in deps/<dep>/
-        imports/      downloaded archives and their digest sidecars
+        imports/      the downloaded import_src and URL extra packages,
+                      with their digest sidecars
+        imports/<dep>/  the download of URL dependency <dep>, and its
+                      digest sidecar
         build.json    what the published package was built from, written
                       only after it is published
         src/          the git checkout (repository blocks), cloned in
@@ -24,7 +27,7 @@ from __future__ import annotations
 import shutil
 import time
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .. import blockpackage as bp
 from ..configtree import ConfigTree
@@ -37,9 +40,15 @@ from ..validation import BlockSpec, GeneralSettings
 
 class ProjectContext(NamedTuple):
     project_dir: Path
-    config_file: Path
     tree: ConfigTree
     section_texts: dict[str, str]
+
+
+def content_rule(emitter: str, section: dict | None) -> bp.ContentRule:
+    """The rule of an ``emits`` or ``consumes/<emitter>`` section."""
+    section = section or {}
+    return bp.ContentRule(emitter, tuple(section.get("required", ())),
+                          tuple(section.get("optional", ())))
 
 
 class StageReport:
@@ -106,8 +115,7 @@ class Builder:
     @property
     def credentials(self) -> dict:
         """Per-host credentials for fetching URLs (``credentials`` key)."""
-        return self.context.tree.get("credentials", {}) \
-            if self.context.tree else {}
+        return self.context.tree.get("credentials", {})
 
     # -- command dispatch --------------------------------------------------
 
@@ -133,8 +141,11 @@ class Builder:
         resolved = {}
         for dep_id in sorted(self.spec.dependencies):
             try:
+                # Each URL dependency has a folder of its own: two URLs
+                # may end in the same file name.
                 archive = bp.resolve_dependency(
-                    self.spec.dependencies[dep_id], self.project_dir, download_dir=self.imports_dir,
+                    self.spec.dependencies[dep_id], self.project_dir,
+                    download_dir=self.imports_dir / dep_id,
                     credentials=self.credentials)
                 resolved[dep_id] = bp.open_package(archive, emitter=dep_id)
             except bp.PackageError as exc:
@@ -143,23 +154,15 @@ class Builder:
                     f"'{dep_id}': {exc}") from exc
         return resolved
 
-    def content_rules(self) -> dict[str, bp.ContentRule]:
-        rules = {}
-        for dep_id, section in (
-                self.spec.builder_specific.get("consumes") or {}).items():
-            rules[dep_id] = bp.ContentRule(
-                emitter=dep_id,
-                required_globs=tuple(section.get("required", ())),
-                optional_globs=tuple(section.get("optional", ())))
-        return rules
-
     def validate_dependency_contents(
             self, packages: dict[str, bp.BlockPackage]) -> None:
-        for dep_id, rule in self.content_rules().items():
+        consumes = self.spec.builder_specific.get("consumes") or {}
+        for dep_id, section in consumes.items():
             if dep_id not in packages:
                 continue
             try:
-                bp.require_contents(packages[dep_id], rule)
+                bp.require_contents(packages[dep_id],
+                                    content_rule(dep_id, section))
             except bp.PackageError as exc:
                 raise BuilderError(
                     f"block '{self.block_id}' cannot use dependency "
@@ -182,14 +185,22 @@ class Builder:
                     f"block '{self.block_id}' cannot import dependency "
                     f"'{dep_id}': {exc}") from exc
 
-    def rebuild_decision(self, *, sources: list, inputs: dict[str, str]):
-        return needs_rebuild(record_path=self.record_path,
-                             output_dir=self.output_dir, sources=sources,
-                             inputs=inputs, config_text=self.section_text)
+    def build(self, *, sources: list, inputs: dict[str, str],
+              publish: Callable[[], str]) -> StageReport:
+        """The one sequence every ``build`` ends in: decide, publish,
+        record, prune.
 
-    def commit(self, package_name: str, inputs: dict[str, str]) -> None:
-        """Record the published package, then drop the ones it supersedes
-        with their sidecars."""
+        Nothing happens unless ``needs_rebuild`` finds the build record
+        stale.  ``publish`` then writes one package into ``output/`` and
+        returns its name; only after that is ``build.json`` saved, and only
+        then are the packages it supersedes dropped with their sidecars.
+        """
+        decision = needs_rebuild(record_path=self.record_path,
+                                 output_dir=self.output_dir, sources=sources,
+                                 inputs=inputs, config_text=self.section_text)
+        if not decision.rebuild:
+            return StageReport(self.block_id, "build", skipped=True)
+        package_name = publish()
         try:
             BuildRecord(package_name, inputs, self.section_text).save(
                 self.record_path)
@@ -201,13 +212,8 @@ class Builder:
             raise BuilderError(
                 f"block '{self.block_id}' cannot commit its build record "
                 f"{self.record_path}: {exc}") from exc
-
-    def emitter_rule(self) -> bp.ContentRule:
-        emits = self.spec.builder_specific.get("emits") or {}
-        return bp.ContentRule(
-            emitter=self.block_id,
-            required_globs=tuple(emits.get("required", ())),
-            optional_globs=tuple(emits.get("optional", ())))
+        return StageReport(self.block_id, "build", artifacts=[package_name],
+                           reasons=decision.reasons)
 
     def run_import(self) -> StageReport:
         """Source this block's package from ``import_src`` instead of
@@ -217,55 +223,45 @@ class Builder:
             raise BuilderError(
                 f"block '{self.block_id}' is set to source 'import' but has "
                 f"no import_src")
+
+        def publish() -> str:
+            bp.require_contents(package, content_rule(
+                self.block_id, self.spec.builder_specific.get("emits")))
+            published = self.output_dir / archive.name
+            try:
+                self.output_dir.mkdir(parents=True, exist_ok=True)
+                if archive.resolve() != published.resolve():
+                    # The copy may replace the recorded package under its
+                    # own name: the record goes first, so an interrupted
+                    # copy is never trusted.
+                    self.record_path.unlink(missing_ok=True)
+                    shutil.copy2(archive, published)
+                    # Consumers read the copy's digest and listing instead
+                    # of reading the copy.
+                    bp.record_digest(published, package.digest,
+                                     entries=package.entries)
+            except OSError as exc:
+                raise BuilderError(
+                    f"block '{self.block_id}' cannot publish its imported "
+                    f"package {published}: {exc}") from exc
+            return published.name
+
+        # A PackageError from the fetch up to the content check in
+        # ``publish`` means the import failed.
         try:
             archive = bp.resolve_dependency(
                 src, self.project_dir, download_dir=self.imports_dir,
                 credentials=self.credentials)
             package = bp.open_package(archive, emitter=self.block_id)
-            inputs = {"import_src": package.digest}
             # Judged by digest only: a download is always newer than any
             # package, and a local copy keeps the mtime of its source.
-            decision = self.rebuild_decision(sources=[], inputs=inputs)
-            if not decision.rebuild:
-                return StageReport(self.block_id, "build", skipped=True)
-            bp.require_contents(package, self.emitter_rule())
+            return self.build(sources=[],
+                              inputs={"import_src": package.digest},
+                              publish=publish)
         except bp.PackageError as exc:
             raise BuilderError(
                 f"block '{self.block_id}' cannot import its package: "
                 f"{exc}") from exc
-        published = self.output_dir / archive.name
-        try:
-            self.output_dir.mkdir(parents=True, exist_ok=True)
-            if archive.resolve() != published.resolve():
-                # The copy may replace the recorded package under its own
-                # name: the record goes first, so an interrupted copy is
-                # never trusted.
-                self.record_path.unlink(missing_ok=True)
-                shutil.copy2(archive, published)
-                # Consumers read the copy's digest and listing instead of
-                # reading the copy.
-                bp.record_digest(published, package.digest,
-                                 entries=package.entries)
-        except OSError as exc:
-            raise BuilderError(
-                f"block '{self.block_id}' cannot publish its imported "
-                f"package {published}: {exc}") from exc
-        self.commit(published.name, inputs)
-        return StageReport(self.block_id, "build",
-                           artifacts=[published.name],
-                           reasons=decision.reasons)
-
-    def finish_build(self, files: dict[str, Path],
-                     inputs: dict[str, str]) -> bp.BlockPackage:
-        try:
-            package = bp.create_package(
-                self.block_id, self.output_dir, files,
-                workers=self.general.effective_threads())
-        except bp.PackageError as exc:
-            raise BuilderError(f"block '{self.block_id}' cannot package its "
-                               f"artifacts: {exc}") from exc
-        self.commit(package.path.name, inputs)
-        return package
 
     # -- default commands ---------------------------------------------------
 

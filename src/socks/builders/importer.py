@@ -13,10 +13,6 @@ from ..validation import BlockProjectModel
 from .base import CLEAN, Builder, StageReport
 
 
-class ImportProjectModel(BlockProjectModel):
-    pass
-
-
 class ImportBuilder(Builder):
 
     def cmd_build(self) -> StageReport:
@@ -27,7 +23,7 @@ IMPORT_DESCRIPTOR = BuilderDescriptor(
     name="Import_Builder",
     description="Imports this block's package from a path or URL instead "
                 "of building it",
-    schema=ImportProjectModel,
+    schema=BlockProjectModel,
     commands=(
         CommandDescriptor("build", "building",
                           "Fetches and republishes this block's package "

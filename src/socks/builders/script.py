@@ -29,14 +29,24 @@ class ScriptProjectModel(BlockProjectModel):
 class RootfsProjectModel(ScriptProjectModel):
     extra_packages: list[str] = []
 
+    @classmethod
+    def check(cls, value: dict) -> None:
+        # URL extra packages are all fetched into imports/, and
+        # packages.txt names each payload by its file name.
+        names = [bp.download_name(ref) for ref in value["extra_packages"]
+                 if bp.is_url(ref)]
+        for name in names:
+            if names.count(name) > 1:
+                raise ValueError(f"two URL extra packages have the file "
+                                 f"name '{name}'")
+
 
 class ScriptBuilder(Builder):
     """Runs configured shell steps in the block's environment."""
 
     def source_paths(self) -> list[Path]:
-        paths = [self.project_dir / p
-                 for p in self.spec.builder_specific.get("inputs", [])]
-        return paths
+        return [self.project_dir / p
+                for p in self.spec.builder_specific.get("inputs", [])]
 
     def step_env(self, packages) -> dict[str, str]:
         env = self.env
@@ -95,19 +105,24 @@ class ScriptBuilder(Builder):
             if not bp.is_url(self.spec.dependencies[dep_id])]
         inputs = {dep_id: pkg.digest for dep_id, pkg in packages.items()}
         inputs.update(self.fetched_inputs())
-        decision = self.rebuild_decision(sources=sources, inputs=inputs)
-        if not decision.rebuild:
-            return StageReport(self.block_id, "build", skipped=True)
-        self.validate_dependency_contents(packages)
-        self.env.ensure_image()
-        self.work_dir.mkdir(parents=True, exist_ok=True)
-        self.sync_sources()
-        self.prepare_workspace(packages)
-        self.run_steps(packages)
-        self.stage_extras(packages)
-        package = self.finish_build(self.collect_outputs(), inputs)
-        return StageReport(self.block_id, "build", artifacts=[package.path.name],
-                           reasons=decision.reasons)
+
+        def publish() -> str:
+            self.validate_dependency_contents(packages)
+            self.env.ensure_image()
+            self.work_dir.mkdir(parents=True, exist_ok=True)
+            self.sync_sources()
+            self.prepare_workspace(packages)
+            self.run_steps(packages)
+            self.stage_extras(packages)
+            try:
+                return bp.create_package(
+                    self.block_id, self.output_dir, self.collect_outputs(),
+                    workers=self.general.effective_threads()).path.name
+            except bp.PackageError as exc:
+                raise BuilderError(f"block '{self.block_id}' cannot package "
+                                   f"its artifacts: {exc}") from exc
+
+        return self.build(sources=sources, inputs=inputs, publish=publish)
 
     def cmd_prepare(self) -> StageReport:
         self.env.ensure_image()

@@ -132,8 +132,7 @@ def parse(argv: list[str]) -> ParsedArgs:
 def tool_help(project: Project | None) -> str:
     parser, opts = _help_parser(
         "socks",
-        usage="socks [-h] [-f FILE] [-v] [--show-config] "
-              "{<block>|all} [-g] <command>",
+        usage=USAGE.removeprefix("usage: "),
         description="Modular build orchestrator for multi-component "
                     "bootable system images.")
     opts.add_argument("-f", "--file", metavar="FILE",

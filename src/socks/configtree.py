@@ -54,9 +54,6 @@ class ConfigTree:
         return node
 
     def has(self, path: str) -> bool:
-        return self._present(path)
-
-    def _present(self, path: str) -> bool:
         node: Any = self.root
         for part in path.split("/"):
             if not isinstance(node, dict) or part not in node:
@@ -144,8 +141,7 @@ def _deep_merge(base: dict, overlay: dict) -> dict:
 
 def _merge_trees(base: ConfigTree, overlay: ConfigTree) -> ConfigTree:
     merged = _deep_merge(base.root, overlay.root)
-    origins = dict(base.origins)
-    origins.update(overlay.origins)
+    origins = {**base.origins, **overlay.origins}
     return ConfigTree(root=merged, origins=origins,
                       source_file=overlay.source_file or base.source_file)
 
@@ -250,7 +246,7 @@ def resolve_placeholders(tree: ConfigTree) -> ConfigTree:
         def repl(match: re.Match) -> str:
             ref = match.group(1)
             probe = ConfigTree(root, source_file=tree.source_file)
-            if not probe._present(ref):
+            if not probe.has(ref):
                 raise ConfigError(
                     f"placeholder references missing key '{ref}'",
                     key_path=at_path, origin=tree.origin(at_path))
@@ -276,17 +272,12 @@ def resolve_placeholders(tree: ConfigTree) -> ConfigTree:
     for _ in range(bound):
         if apply_round() == 0:
             break
-    else:
-        cycle = _find_placeholder_cycle(tree) \
-            or _find_placeholder_cycle(ConfigTree(root))
-        raise CycleError(
-            "placeholder cycle: " + " -> ".join(cycle), cycle,
-            origin=tree.source_file)
 
     for path, text in _walk_strings(root):
         if "{{" in text or "}}" in text:
-            # A pure reference cycle reaches a fixpoint without ever
-            # changing, so it shows up here rather than at the bound.
+            # Placeholders are left after a cycle: one that grows the text
+            # until the bound, or a pure one that reaches a fixpoint
+            # without ever changing.
             cycle = _find_placeholder_cycle(tree) \
                 or _find_placeholder_cycle(ConfigTree(root))
             if cycle:
@@ -311,15 +302,11 @@ def _copy(node: Any) -> Any:
 
 
 def _set_path(root: dict, path: str, value: Any) -> None:
-    parts = path.split("/")
+    *parents, last = path.split("/")
     node: Any = root
-    for part in parts[:-1]:
+    for part in parents:
         node = node[int(part)] if isinstance(node, list) else node[part]
-    last = parts[-1]
-    if isinstance(node, list):
-        node[int(last)] = value
-    else:
-        node[last] = value
+    node[int(last) if isinstance(node, list) else last] = value
 
 
 def process_project(path: str | Path) -> ConfigTree:
@@ -338,36 +325,29 @@ def render_effective_config(node: Any, indent: int = 0) -> str:
     """
     if isinstance(node, ConfigTree):
         node = node.root
-    lines = _render_lines(node, indent)
-    return "\n".join(lines) + "\n"
+    return "\n".join(_render_lines(node, indent)) + "\n"
 
 
-def _render_scalar(value: Scalar) -> str:
+def _render_scalar(value: Scalar | dict | list) -> str:
+    """A scalar, or an empty mapping or list, as one line."""
     if value is None:
         return "null"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, str):
+    if isinstance(value, (str, dict, list)):
         return json.dumps(value)
     return repr(value)
 
 
 def _render_lines(node: Any, indent: int) -> list[str]:
     pad = "  " * indent
-    if isinstance(node, dict):
-        if not node:
-            return [pad + "{}"]
+    if isinstance(node, dict) and node:
         lines = []
         for key in sorted(node):
             value = node[key]
-            if isinstance(value, dict) and value:
+            if isinstance(value, (dict, list)) and value:
                 lines.append(f"{pad}{key}:")
                 lines.extend(_render_lines(value, indent + 1))
-            elif isinstance(value, list) and value:
-                lines.append(f"{pad}{key}:")
-                lines.extend(_render_lines(value, indent + 1))
-            elif isinstance(value, (dict, list)):
-                lines.append(f"{pad}{key}: " + ("{}" if isinstance(value, dict) else "[]"))
             else:
                 lines.append(f"{pad}{key}: {_render_scalar(value)}")
         return lines
@@ -378,8 +358,6 @@ def _render_lines(node: Any, indent: int) -> list[str]:
                 sub = _render_lines(value, indent + 1)
                 lines.append(f"{pad}- " + sub[0].lstrip())
                 lines.extend(sub[1:])
-            elif isinstance(value, (dict, list)):
-                lines.append(f"{pad}- " + ("{}" if isinstance(value, dict) else "[]"))
             else:
                 lines.append(f"{pad}- {_render_scalar(value)}")
         return lines

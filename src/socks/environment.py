@@ -187,6 +187,14 @@ class EnvironmentManager:
             self.spec.project_dir.resolve())
         return f"{CONTAINER_MOUNT}/{rel.as_posix()}"
 
+    def _run_argv(self, workdir: str | Path, *flags: str) -> list[str]:
+        """``<tool> run`` of a throwaway container that runs as this user
+        in ``workdir``, with the project folder mounted."""
+        return [self.spec.tool, "run", "--rm", *flags,
+                "-u", f"{os.getuid()}:{os.getgid()}",
+                "-v", f"{self.spec.project_dir.resolve()}:{CONTAINER_MOUNT}",
+                "-w", self._container_path(Path(workdir))]
+
     def run(self, cmd: str, *, workdir: str | Path,
             env: dict | None = None, check: bool = True) -> ProcessResult:
         """Run a build command via bash, in the container or on the host."""
@@ -196,10 +204,7 @@ class EnvironmentManager:
             Path(workdir).mkdir(parents=True, exist_ok=True)
             return _run(["bash", "-c", cmd], kind="build",
                         cwd=workdir, env=extra, check=check)
-        argv = [self.spec.tool, "run", "--rm",
-                "-u", f"{os.getuid()}:{os.getgid()}",
-                "-v", f"{self.spec.project_dir.resolve()}:{CONTAINER_MOUNT}",
-                "-w", self._container_path(Path(workdir))]
+        argv = self._run_argv(workdir)
         for key, value in extra.items():
             argv += ["-e", f"{key}={value}"]
         argv += [self.spec.image_ref, "bash", "-c", cmd]
@@ -226,11 +231,7 @@ class EnvironmentManager:
             raise EnvironmentError_(
                 "start-container needs an attached terminal")
         self.ensure_image()
-        argv = [self.spec.tool, "run", "--rm", "-it",
-                "-u", f"{os.getuid()}:{os.getgid()}",
-                "-v", f"{self.spec.project_dir.resolve()}:{CONTAINER_MOUNT}",
-                "-w", self._container_path(Path(workdir)),
-                self.spec.image_ref, "bash"]
+        argv = self._run_argv(workdir, "-it") + [self.spec.image_ref, "bash"]
         log.info("interactive container session: %s", self.spec.image_ref)
         _notify("container-tool", argv)
         return subprocess.call(argv)

@@ -22,12 +22,9 @@ from .validation import BlockSpec, GeneralSettings, validate_block, validate_gen
 
 class Project:
 
-    def __init__(self, *, config_file: Path, tree: ConfigTree,
-                 general: GeneralSettings, specs: dict[str, BlockSpec],
-                 builders: dict[str, Builder], graph: DependencyGraph,
-                 context: ProjectContext):
-        self.config_file = config_file
-        self.project_dir = config_file.parent
+    def __init__(self, *, tree: ConfigTree, general: GeneralSettings,
+                 specs: dict[str, BlockSpec], builders: dict[str, Builder],
+                 graph: DependencyGraph, context: ProjectContext):
         self.tree = tree
         self.general = general
         self.specs = specs
@@ -48,7 +45,6 @@ class Project:
         }
         context = ProjectContext(
             project_dir=config_file.parent,
-            config_file=config_file,
             tree=tree,
             section_texts=section_texts,
         )
@@ -69,9 +65,8 @@ class Project:
                 descriptor.name, block_id, spec, general, context)
 
         graph = build_graph(specs, config_file.parent)
-        return cls(config_file=config_file, tree=tree, general=general,
-                   specs=specs, builders=instances, graph=graph,
-                   context=context)
+        return cls(tree=tree, general=general, specs=specs,
+                   builders=instances, graph=graph, context=context)
 
     def rendered_config(self) -> str:
         return render_effective_config(self.tree)

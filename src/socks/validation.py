@@ -216,6 +216,14 @@ def check_section(section, schema: type[Schema], key_path: str,
     return out
 
 
+def _check_id(name: str, key_path: str, tree: ConfigTree) -> None:
+    """Block and dependency ids name folders under ``temp/``: an id must
+    be one plain path component, and no hidden name such as ``.locks``."""
+    if not name or "/" in name or "\\" in name or name.startswith("."):
+        raise _error(f"invalid id {name!r}: an id must not be empty, hold "
+                     f"'/' or '\\', or start with '.'", key_path, tree)
+
+
 def validate_general(tree: ConfigTree) -> GeneralSettings:
     """Validate the general section and block-set completeness."""
     for required in ("project/type", "project/name"):
@@ -244,6 +252,8 @@ def validate_general(tree: ConfigTree) -> GeneralSettings:
     if not isinstance(blocks, dict) or not blocks:
         raise ValidationError("the 'blocks' section must be a non-empty mapping",
                               key_path="blocks", origin=tree.origin("blocks"))
+    for block_id in blocks:
+        _check_id(block_id, f"blocks/{block_id}", tree)
     for block_id in ptype.mandatory_blocks:
         if block_id not in blocks:
             raise ValidationError(f"missing mandatory block: {block_id}",
@@ -292,6 +302,7 @@ def validate_block(tree: ConfigTree, block_id: str,
             origin=tree.origin(f"{base_path}/project"))
 
     for dep_id, ref in dependencies.items():
+        _check_id(dep_id, f"{base_path}/project/dependencies/{dep_id}", tree)
         if ref.startswith("/"):
             raise ValidationError(
                 "dependency paths must be relative to the project folder "

@@ -245,6 +245,46 @@ def test_url_extra_package_republish_rebuilds_the_rootfs(project_dir,
     assert rebuilt(build_ok(project_dir, "rootfs")) == set()
 
 
+
+def test_url_dependencies_ending_in_one_file_name_keep_their_own_bytes(
+        project_dir, tmp_path):
+    # CI artifact URLs that differ only in a folder or the query string.
+    refs = {}
+    for dep_id in ("first", "second"):
+        payload = tmp_path / f"{dep_id}.txt"
+        payload.write_text(f"{dep_id} payload\n", encoding="utf-8")
+        package = bp.create_package(dep_id, tmp_path / "ci" / dep_id,
+                                    {"payload.txt": payload}).path
+        published = package.with_name("package.tar.gz")
+        package.rename(published)
+        refs[dep_id] = published.as_uri()
+    config = project_dir / "project-zynqmp-default.yml"
+    config.write_text(config.read_text().replace(
+        "        - src/atf\n", "        - src/atf\n      dependencies:\n"
+        + "".join(f"        {dep}: {ref}\n" for dep, ref in refs.items())),
+        encoding="utf-8")
+    build_ok(project_dir, "atf")
+    deps = project_dir / "temp" / "atf" / "deps"
+    for dep_id in refs:
+        assert (deps / dep_id / "payload.txt").read_text() \
+            == f"{dep_id} payload\n"
+    assert rebuilt(build_ok(project_dir, "atf")) == set()
+
+
+def test_url_extra_packages_with_one_file_name_are_refused(project_dir,
+                                                          tmp_path, capsys):
+    config = project_dir / "project-zynqmp-default.yml"
+    urls = "".join(f"        - {(tmp_path / d / 'net.pkg').as_uri()}\n"
+                   for d in ("a", "b"))
+    config.write_text(config.read_text().replace(
+        "        - payloads/lib-2.1.pkg\n",
+        "        - payloads/lib-2.1.pkg\n" + urls), encoding="utf-8")
+    assert cli.main(["-f", str(project_dir / "socks.yml"), "rootfs",
+                     "build"]) == 1
+    err = capsys.readouterr().err
+    assert "two URL extra packages have the file name 'net.pkg'" in err
+    assert "at 'blocks/rootfs/project'" in err
+
 def edit_inputs(project_dir: Path) -> None:
     for path, line in (
             (project_dir / "src" / "vivado" / "design.xsa", "<revision/>\n"),

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import copy
+import json
+import os
 
 import pytest
 
+from socks import blockpackage as bp
 from socks import builders  # noqa: F401  (registers the built-in builders)
+from socks import cli
 from socks.configtree import ConfigTree, process_project
 from socks.errors import ValidationError
 from socks.registry import get_descriptor
@@ -155,3 +159,48 @@ def test_missing_container_section(fixture_tree):
     del root["blocks"]["vivado"]["container"]
     with pytest.raises(ValidationError, match="container"):
         validate(ConfigTree(root, source_file="f"), "vivado")
+
+
+def add_dependency(project_dir, block_id: str, dep_id: str, ref: str) -> None:
+    config = project_dir / "project-zynqmp-default.yml"
+    text = config.read_text(encoding="utf-8")
+    anchor = f"        - src/{block_id}\n"
+    assert anchor in text
+    config.write_text(text.replace(anchor, anchor + (
+        f"      dependencies:\n        {json.dumps(dep_id)}: {ref}\n")),
+        encoding="utf-8")
+
+
+@pytest.mark.parametrize("block_id", ["..", ".locks", "a\\b", "a/b", ""])
+def test_block_id_must_be_a_plain_folder_name(project_dir, capsys, block_id):
+    with open(project_dir / "socks.yml", "a", encoding="utf-8") as fh:
+        fh.write(f"  {json.dumps(block_id)}:\n    builder: Script_Builder\n"
+                 f"    container:\n      image: socks-mock-builder\n")
+    # 'clean' would remove temp/<block_id>/: for '..' the whole project.
+    assert cli.main(["-f", str(project_dir / "socks.yml"), "all",
+                     "clean"]) == 1
+    err = capsys.readouterr().err
+    assert f"invalid id {block_id!r}" in err
+    assert f"at 'blocks/{block_id}'" in err
+    assert (project_dir / "socks.yml").is_file()
+
+
+@pytest.mark.parametrize("dep_id", ["../../../victim", ".victim", "a\\b", ""])
+def test_dependency_id_must_be_a_plain_folder_name(project_dir, capsys,
+                                                   dep_id):
+    victim = project_dir / "victim"
+    victim.mkdir()
+    (victim / "data.txt").write_text("keep me\n", encoding="utf-8")
+    payload = project_dir / "payload.txt"
+    payload.write_text("payload\n", encoding="utf-8")
+    bp.create_package("prebuilt", project_dir / "prebuilt",
+                      {"payload.txt": payload}, stamp="20260101T000000Z")
+    add_dependency(project_dir, "atf", dep_id,
+                   "prebuilt/bp_prebuilt_*.tar.gz")
+    # deps/<dep_id>/ is replaced whole when the package is extracted.
+    assert cli.main(["-f", str(project_dir / "socks.yml"), "atf",
+                     "build"]) == 1
+    err = capsys.readouterr().err
+    assert f"at 'blocks/atf/project/dependencies/{dep_id}'" in err
+    assert sorted(os.listdir(victim)) == ["data.txt"]
+    assert not (project_dir / ".victim.digest").exists()

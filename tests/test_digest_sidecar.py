@@ -451,3 +451,25 @@ def test_image_rebuild_after_a_touch_lists_no_dependency_archive(
     edit(scratch)
     build_all(scratch)
     assert boot_img(project_dir) == boot_img(scratch)
+
+
+def test_archive_in_the_project_folder_is_hashed_once_per_run(tmp_path,
+                                                              hashes):
+    """An archive outside ``temp/`` gets no sidecar, so only the per-run
+    digest memo keeps two consumers from hashing it twice."""
+    project_dir = materialize(tmp_path / "proj")
+    prebuilt = make_package(project_dir / "prebuilt", "prebuilt\n").path
+    bp.digest_sidecar(prebuilt).unlink()  # the user put it there
+    config = project_dir / "project-zynqmp-default.yml"
+    text = config.read_text(encoding="utf-8")
+    for block_id in ("atf", "uboot"):
+        anchor = f"        - src/{block_id}\n"
+        text = text.replace(anchor, anchor + (
+            "      dependencies:\n"
+            "        prebuilt: prebuilt/bp_demo_*.tar.gz\n"))
+    config.write_text(text, encoding="utf-8")
+    report = run(Project.load(project_dir / "socks.yml"),
+                 Invocation(ALL, "build"))
+    assert report.outcome == "completed", report.error
+    assert hashes.count(prebuilt) == 1
+    assert not bp.digest_sidecar(prebuilt).exists()
