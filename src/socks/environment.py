@@ -188,8 +188,7 @@ class EnvironmentManager:
         return f"{CONTAINER_MOUNT}/{rel.as_posix()}"
 
     def _run_argv(self, workdir: str | Path, *flags: str) -> list[str]:
-        """``<tool> run`` of a throwaway container that runs as this user
-        in ``workdir``, with the project folder mounted."""
+        """``<tool> run`` of a throwaway container, as this user."""
         return [self.spec.tool, "run", "--rm", *flags,
                 "-u", f"{os.getuid()}:{os.getgid()}",
                 "-v", f"{self.spec.project_dir.resolve()}:{CONTAINER_MOUNT}",
