@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import shutil
 import time
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -127,10 +128,21 @@ class Builder:
                 f"builder {self.descriptor.name} declares '{verb}' "
                 f"but does not implement it")
         start = time.monotonic()
-        report = method()
+        with self.failure(f"cannot {verb}"):
+            report = method()
         if report.duration == 0.0:
             report.duration = time.monotonic() - start
         return report
+
+    @contextmanager
+    def failure(self, doing: str):
+        """Fail this block (exit 2) on a package or file error met while
+        ``doing``; the message names the block and what it was doing."""
+        try:
+            yield
+        except (bp.PackageError, OSError) as exc:
+            raise BuilderError(
+                f"block '{self.block_id}' {doing}: {exc}") from exc
 
     # -- shared building blocks -------------------------------------------
 
@@ -140,7 +152,7 @@ class Builder:
     def resolve_dependencies(self) -> dict[str, bp.BlockPackage]:
         resolved = {}
         for dep_id in sorted(self.spec.dependencies):
-            try:
+            with self.failure(f"cannot resolve dependency '{dep_id}'"):
                 # Each URL dependency has a folder of its own: two URLs
                 # may end in the same file name.
                 archive = bp.resolve_dependency(
@@ -148,10 +160,6 @@ class Builder:
                     download_dir=self.imports_dir / dep_id,
                     credentials=self.credentials)
                 resolved[dep_id] = bp.open_package(archive, emitter=dep_id)
-            except bp.PackageError as exc:
-                raise BuilderError(
-                    f"block '{self.block_id}' cannot resolve dependency "
-                    f"'{dep_id}': {exc}") from exc
         return resolved
 
     def validate_dependency_contents(
@@ -160,13 +168,9 @@ class Builder:
         for dep_id, section in consumes.items():
             if dep_id not in packages:
                 continue
-            try:
+            with self.failure(f"cannot use dependency '{dep_id}'"):
                 bp.require_contents(packages[dep_id],
                                     content_rule(dep_id, section))
-            except bp.PackageError as exc:
-                raise BuilderError(
-                    f"block '{self.block_id}' cannot use dependency "
-                    f"'{dep_id}': {exc}") from exc
 
     def import_dependencies(self, packages: dict[str, bp.BlockPackage], *,
                             extract: bool = True) -> None:
@@ -175,15 +179,11 @@ class Builder:
         does too unless a trusted sidecar holds it.  Either way a corrupt
         package fails here."""
         for dep_id, pkg in packages.items():
-            try:
+            with self.failure(f"cannot import dependency '{dep_id}'"):
                 if extract:
                     bp.import_package(pkg, self.deps_dir / dep_id)
                 else:
                     pkg.entries
-            except bp.PackageError as exc:
-                raise BuilderError(
-                    f"block '{self.block_id}' cannot import dependency "
-                    f"'{dep_id}': {exc}") from exc
 
     def build(self, *, sources: list, inputs: dict[str, str],
               publish: Callable[[], str]) -> StageReport:
@@ -201,17 +201,14 @@ class Builder:
         if not decision.rebuild:
             return StageReport(self.block_id, "build", skipped=True)
         package_name = publish()
-        try:
+        with self.failure(
+                f"cannot commit its build record {self.record_path}"):
             BuildRecord(package_name, inputs, self.section_text).save(
                 self.record_path)
             for old in self.existing_packages():
                 if old.name != package_name:
                     bp.digest_sidecar(old).unlink(missing_ok=True)
                     old.unlink()
-        except OSError as exc:
-            raise BuilderError(
-                f"block '{self.block_id}' cannot commit its build record "
-                f"{self.record_path}: {exc}") from exc
         return StageReport(self.block_id, "build", artifacts=[package_name],
                            reasons=decision.reasons)
 
@@ -228,7 +225,8 @@ class Builder:
             bp.require_contents(package, content_rule(
                 self.block_id, self.spec.builder_specific.get("emits")))
             published = self.output_dir / archive.name
-            try:
+            with self.failure(
+                    f"cannot publish its imported package {published}"):
                 self.output_dir.mkdir(parents=True, exist_ok=True)
                 if archive.resolve() != published.resolve():
                     # The copy may replace the recorded package under its
@@ -240,15 +238,11 @@ class Builder:
                     # of reading the copy.
                     bp.record_digest(published, package.digest,
                                      entries=package.entries)
-            except OSError as exc:
-                raise BuilderError(
-                    f"block '{self.block_id}' cannot publish its imported "
-                    f"package {published}: {exc}") from exc
             return published.name
 
-        # A PackageError from the fetch up to the content check in
-        # ``publish`` means the import failed.
-        try:
+        # A package or file error from the fetch up to the content check
+        # in ``publish`` means the import failed.
+        with self.failure("cannot import its package"):
             archive = bp.resolve_dependency(
                 src, self.project_dir, download_dir=self.imports_dir,
                 credentials=self.credentials)
@@ -258,10 +252,6 @@ class Builder:
             return self.build(sources=[],
                               inputs={"import_src": package.digest},
                               publish=publish)
-        except bp.PackageError as exc:
-            raise BuilderError(
-                f"block '{self.block_id}' cannot import its package: "
-                f"{exc}") from exc
 
     # -- default commands ---------------------------------------------------
 

@@ -114,13 +114,10 @@ class ScriptBuilder(Builder):
             self.prepare_workspace(packages)
             self.run_steps(packages)
             self.stage_extras(packages)
-            try:
+            with self.failure("cannot package its artifacts"):
                 return bp.create_package(
                     self.block_id, self.output_dir, self.collect_outputs(),
                     workers=self.general.effective_threads()).path.name
-            except bp.PackageError as exc:
-                raise BuilderError(f"block '{self.block_id}' cannot package "
-                                   f"its artifacts: {exc}") from exc
 
         return self.build(sources=sources, inputs=inputs, publish=publish)
 
@@ -147,14 +144,10 @@ class RootfsBuilder(ScriptBuilder):
         """Fetch the URL extra packages before the rebuild decision, so a
         republish at the same URL is a changed input; an unchanged source
         is not fetched again (see ``bp._download``)."""
-        try:
+        with self.failure("cannot fetch an extra package"):
             self.fetched = {
                 ref: bp._download(ref, self.imports_dir, self.credentials)
                 for ref in self.extra_package_refs() if bp.is_url(ref)}
-        except bp.PackageError as exc:
-            raise BuilderError(
-                f"block '{self.block_id}' cannot fetch an extra package: "
-                f"{exc}") from exc
         return {f"extra_packages/{ref}": bp.file_digest(path)
                 for ref, path in self.fetched.items()}
 

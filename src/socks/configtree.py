@@ -192,121 +192,94 @@ def resolve_imports(tree: ConfigTree, base_dir: str | Path,
     return _merge_trees(accumulated, top) if accumulated is not None else top
 
 
-def _walk_strings(node: Any, path: str = ""):
-    if isinstance(node, dict):
-        for key, value in node.items():
-            yield from _walk_strings(value, f"{path}/{key}" if path else key)
-    elif isinstance(node, list):
-        for idx, value in enumerate(node):
-            yield from _walk_strings(value, f"{path}/{idx}")
-    elif isinstance(node, str):
-        yield path, node
-
-
 def _scalar_text(value: Scalar) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     return str(value)
 
 
-def _find_placeholder_cycle(tree: ConfigTree) -> list[str]:
-    refs: dict[str, list[str]] = {}
-    for path, text in _walk_strings(tree.root):
-        refs[path] = PLACEHOLDER_RE.findall(text)
-    seen: set[str] = set()
-
-    def dfs(node: str, stack: list[str]) -> list[str] | None:
-        if node in stack:
-            return stack[stack.index(node):] + [node]
-        if node in seen:
-            return None
-        seen.add(node)
-        for ref in refs.get(node, []):
-            found = dfs(ref, stack + [node])
-            if found:
-                return found
-        return None
-
-    for start in refs:
-        cycle = dfs(start, [])
-        if cycle:
-            return cycle
-    return []
-
-
 def resolve_placeholders(tree: ConfigTree) -> ConfigTree:
     """Replace every ``{{path}}`` in string leaves with the referenced scalar.
 
-    Iterates to a fixpoint bounded by the number of string leaves; exceeding
-    the bound means a reference cycle, which is reported with its chain.
+    One depth-first pass over an explicit stack: a string that references
+    another string waits until that one is resolved, so each string is
+    resolved once.  The text a substitution builds is scanned again.  A
+    string met again while it is still waiting closes a reference cycle,
+    which is reported with its chain.
     """
-    root = _copy(tree.root)
+    leaves: list[tuple[Any, Any, str]] = []
+    root = _copy(tree.root, "", leaves)
+    # (id of the container, key) -> True once resolved, False while waiting
+    state: dict[tuple[int, Any], bool] = {}
 
-    def substitute(text: str, at_path: str) -> str:
-        def repl(match: re.Match) -> str:
+    def fail(message: str, at_path: str) -> ConfigError:
+        return ConfigError(message, key_path=at_path,
+                           origin=tree.origin(at_path))
+
+    for leaf in leaves:
+        if state.get((id(leaf[0]), leaf[1])):
+            continue
+        state[id(leaf[0]), leaf[1]] = False
+        stack = [leaf]
+        while stack:
+            node, key, at_path = stack[-1]
+            text = node[key]
+            match = PLACEHOLDER_RE.search(text)
+            if match is None:
+                if "{{" in text or "}}" in text:
+                    raise fail(f"malformed placeholder in {text!r}", at_path)
+                state[id(node), key] = True
+                stack.pop()
+                continue
             ref = match.group(1)
-            probe = ConfigTree(root, source_file=tree.source_file)
-            if not probe.has(ref):
-                raise ConfigError(
-                    f"placeholder references missing key '{ref}'",
-                    key_path=at_path, origin=tree.origin(at_path))
-            value = probe.get(ref)
+            *parents, last = ref.split("/")
+            owner: Any = root
+            for part in parents:
+                owner = owner.get(part) if isinstance(owner, dict) else None
+            if not isinstance(owner, dict) or last not in owner:
+                raise fail(f"placeholder references missing key '{ref}'",
+                           at_path)
+            value = owner[last]
             if isinstance(value, (dict, list)):
-                raise ConfigError(
-                    f"placeholder must reference a scalar, "
-                    f"but '{ref}' is a {type(value).__name__}",
-                    key_path=at_path, origin=tree.origin(at_path))
-            return _scalar_text(value)
-        return PLACEHOLDER_RE.sub(repl, text)
-
-    def apply_round() -> int:
-        changed = 0
-        for path, text in list(_walk_strings(root)):
-            new = substitute(text, path)
-            if new != text:
-                _set_path(root, path, new)
-                changed += 1
-        return changed
-
-    bound = sum(1 for _ in _walk_strings(root)) + 1
-    for _ in range(bound):
-        if apply_round() == 0:
-            break
-
-    for path, text in _walk_strings(root):
-        if "{{" in text or "}}" in text:
-            # Placeholders are left after a cycle: one that grows the text
-            # until the bound, or a pure one that reaches a fixpoint
-            # without ever changing.
-            cycle = _find_placeholder_cycle(tree) \
-                or _find_placeholder_cycle(ConfigTree(root))
-            if cycle:
-                raise CycleError(
-                    "placeholder cycle: " + " -> ".join(cycle), cycle,
-                    origin=tree.source_file)
-            raise ConfigError(
-                f"malformed placeholder in {text!r}",
-                key_path=path, origin=tree.origin(path))
+                raise fail(f"placeholder must reference a scalar, but "
+                           f"'{ref}' is a {type(value).__name__}", at_path)
+            target = (id(owner), last)
+            if isinstance(value, str) and not state.get(target):
+                if target in state:
+                    start = next(i for i, (n, k, _) in enumerate(stack)
+                                 if n is owner and k == last)
+                    chain = [p for _, _, p in stack[start:]] + [ref]
+                    raise CycleError(
+                        "placeholder cycle: " + " -> ".join(chain), chain,
+                        origin=tree.source_file)
+                state[target] = False
+                stack.append((owner, last, ref))
+                continue
+            node[key] = (text[:match.start()] + _scalar_text(value)
+                         + text[match.end():])
     return ConfigTree(root=root, origins=dict(tree.origins),
                       source_file=tree.source_file)
 
 
-def _copy(node: Any) -> Any:
-    """Copy of the mappings and lists; keys become text, as in JSON."""
+def _copy(node: Any, path: str, leaves: list) -> Any:
+    """Copy of the mappings and lists; keys become text, as in JSON.  The
+    container, key and path of each copied string go to ``leaves``, in
+    document order."""
     if isinstance(node, dict):
-        return {key if isinstance(key, str) else json.dumps(key): _copy(value)
-                for key, value in node.items()}
-    if isinstance(node, list):
-        return [_copy(value) for value in node]
-    return node
-
-
-def _set_path(root: dict, path: str, value: Any) -> None:
-    *parents, last = path.split("/")
-    node: Any = root
-    for part in parents:
-        node = node[int(part)] if isinstance(node, list) else node[part]
-    node[int(last) if isinstance(node, list) else last] = value
+        out: Any = {}
+        items = ((key if isinstance(key, str) else json.dumps(key), value)
+                 for key, value in node.items())
+    elif isinstance(node, list):
+        out = [None] * len(node)
+        items = enumerate(node)
+    else:
+        return node
+    for key, value in items:
+        at_path = f"{path}/{key}" if path else str(key)
+        if isinstance(value, str):
+            leaves.append((out, key, at_path))
+        out[key] = _copy(value, at_path, leaves)
+    return out
 
 
 def process_project(path: str | Path) -> ConfigTree:

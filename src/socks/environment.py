@@ -66,8 +66,7 @@ def _notify(kind: str, argv: list[str]) -> None:
 
 
 def _run(argv: list[str], *, kind: str, cwd: str | Path | None = None,
-         env: dict | None = None, check: bool = True,
-         capture: bool = True) -> ProcessResult:
+         env: dict | None = None, check: bool = True) -> ProcessResult:
     # Imported here: a no-op build spawns nothing.
     import shlex
     import subprocess
@@ -78,15 +77,13 @@ def _run(argv: list[str], *, kind: str, cwd: str | Path | None = None,
     if env:
         full_env.update(env)
     try:
-        proc = subprocess.run(
-            argv, cwd=cwd, env=full_env,
-            capture_output=capture, text=True)
+        proc = subprocess.run(argv, cwd=cwd, env=full_env,
+                              capture_output=True, text=True)
     except OSError as exc:
         raise EnvironmentError_(f"cannot start {argv[0]}: {exc}") from exc
     result = ProcessResult(command=shlex.join(argv),
                            returncode=proc.returncode,
-                           stdout=proc.stdout if capture else "",
-                           stderr=proc.stderr if capture else "")
+                           stdout=proc.stdout, stderr=proc.stderr)
     if check and result.returncode != 0:
         raise ProcessError(
             f"command failed with exit {result.returncode}: {result.command}",
@@ -95,14 +92,14 @@ def _run(argv: list[str], *, kind: str, cwd: str | Path | None = None,
 
 
 def execute_host(argv: list[str], *, cwd: str | Path | None = None,
-                 env: dict | None = None, check: bool = True) -> ProcessResult:
+                 check: bool = True) -> ProcessResult:
     """Run a host tool without a shell; ``argv[0]`` must be whitelisted."""
     program = Path(argv[0]).name if argv else ""
     if program not in HOST_TOOLS:
         raise EnvironmentError_(
             f"'{program}' is not in the host tool whitelist; "
             f"run it via the build environment instead")
-    return _run(list(argv), kind="host", cwd=cwd, env=env, check=check)
+    return _run(list(argv), kind="host", cwd=cwd, check=check)
 
 
 class EnvSpec(NamedTuple):

@@ -129,10 +129,8 @@ REVERSED_CATEGORIES = ("cleaning",)
 
 
 def topological_order(graph: DependencyGraph, active: set[str]) -> list[str]:
-    """Dependencies-first linearization of ``active``; ties broken by block id."""
-    unknown = active - graph.nodes
-    if unknown:
-        raise GraphError(f"active set contains unknown blocks: {sorted(unknown)}")
+    """Dependencies-first linearization of ``active``, a subset of the
+    graph's nodes; ties broken by block id."""
     indeg = {n: 0 for n in active}
     succs: dict[str, list[str]] = {n: [] for n in active}
     for u, vs in graph.edges.items():

@@ -296,6 +296,28 @@ def test_disk_full_at_commit_exits_2_naming_block_and_path(
     assert not full.exists()
 
 
+@pytest.mark.parametrize("block_id, staged",
+                         [("image", "boot.img"), ("rootfs", "packages.txt")])
+def test_disk_full_while_staging_exits_2_naming_the_block(
+        project_dir, capsys, monkeypatch, block_id, staged):
+    """ENOSPC while a builder writes a file of its own into ``stage/``: no
+    site names that write, so the block's command fails as a whole."""
+    real_write_text = Path.write_text
+
+    def disk_full(path, *args, **kwargs):
+        if path.name == staged:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return real_write_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", disk_full)
+    assert cli.main(["-f", str(project_dir / "socks.yml"), "all",
+                     "build"]) == 2
+    err = capsys.readouterr().err
+    assert f"block '{block_id}' cannot build" in err
+    assert "No space left on device" in err
+    assert not (project_dir / "temp" / block_id / "build.json").exists()
+
+
 def test_import_source_without_src_fails_clearly(project):
     builder = project.builders["vivado"]
     object.__setattr__(builder.spec, "source_mode", "import")

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import socks
 from socks.configtree import (ConfigTree, _merge_trees, load_project,
                               process_project, render_effective_config,
                               resolve_imports, resolve_placeholders)
@@ -177,6 +181,61 @@ def test_placeholder_leftover_braces_rejected():
     tree = ConfigTree({"a": "broken {{ not-a-ref"})
     with pytest.raises(ConfigError, match="malformed"):
         resolve_placeholders(tree)
+
+
+def test_malformed_placeholder_is_reported_at_its_own_key():
+    # b only reaches the broken text through a reference.
+    tree = ConfigTree({"b": "{{a}}", "a": "{{ x"}, source_file="f.yml")
+    with pytest.raises(ConfigError, match="malformed") as exc:
+        resolve_placeholders(tree)
+    assert exc.value.key_path == "a"
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["forward", "backward"])
+def test_placeholder_chain_of_a_thousand_links(order):
+    names = [f"k{i}" for i in range(1000)]
+    root = {name: "end" if i == 0 else f"<{{{{{names[i - 1]}}}}}>"
+            for i, name in enumerate(names)}
+    out = resolve_placeholders(ConfigTree(dict(list(root.items())[::order])))
+    assert out.get("k999") == "<" * 999 + "end" + ">" * 999
+    assert out.get("k1") == "<end>"
+
+
+def test_text_built_by_a_substitution_is_scanned_again():
+    tree = ConfigTree({"s": "{{{{k}}}}", "k": "y", "y": "z"})
+    assert resolve_placeholders(tree).get("s") == "z"
+
+
+def test_placeholder_cycle_chain_starts_at_the_first_string():
+    tree = ConfigTree({"a": "{{b}}", "b": "{{a}}"})
+    with pytest.raises(CycleError) as exc:
+        resolve_placeholders(tree)
+    assert exc.value.chain == ["a", "b", "a"]
+    assert "a -> b -> a" in str(exc.value)
+
+
+def test_a_string_that_doubles_itself_is_a_cycle_not_a_blowup():
+    # Resolving round after round doubles this text each round.  The
+    # child process caps its own address space, so such a resolver fails
+    # with MemoryError there instead of taking the machine's memory.
+    pytest.importorskip("resource")
+    code = textwrap.dedent("""\
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        from socks.configtree import ConfigTree, resolve_placeholders
+        from socks.errors import CycleError
+        root = {"a": "{{a}}{{a}}", **{f"k{i}": "x" for i in range(40)}}
+        try:
+            resolve_placeholders(ConfigTree(root))
+        except CycleError as exc:
+            print(exc.chain)
+        """)
+    src = str(Path(socks.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "['a', 'a']\n"
 
 
 def test_process_project_full(project_dir):
