@@ -25,21 +25,24 @@ Scalar = str | int | float | bool | None
 
 PLACEHOLDER_RE = re.compile(r"\{\{([A-Za-z0-9_./-]+)\}\}")
 IMPORT_KEY = "import"
+# Deepest nesting of a file, aliases expanded, and longest import chain.
+MAX_DEPTH = 100
+# Most values one configuration may hold once its aliases are expanded.
+MAX_VALUES = 100_000
 
 
 class ConfigTree:
-    """Nested mapping of configuration data plus per-path origin info.
+    """Nested mapping of configuration data and the files it came from.
 
-    ``origins`` maps slash-separated key paths to ``"file:line"`` strings of
-    the merge source that supplied the value.  Trees are treated as immutable
-    values: every processing step returns a new tree.
+    ``layers`` holds ``(file, YAML node)`` for each file merged into the
+    tree, highest precedence first.  Trees are treated as immutable values:
+    every processing step returns a new tree.
     """
 
-    def __init__(self, root: dict[str, Any],
-                 origins: dict[str, str] | None = None,
+    def __init__(self, root: dict[str, Any], layers: tuple = (),
                  source_file: str | None = None):
         self.root = root
-        self.origins = {} if origins is None else origins
+        self.layers = layers
         self.source_file = source_file
 
     def get(self, path: str, default: Any = ...) -> Any:
@@ -62,25 +65,18 @@ class ConfigTree:
         return True
 
     def origin(self, path: str) -> str | None:
-        while path:
-            if path in self.origins:
-                return self.origins[path]
-            path = path.rsplit("/", 1)[0] if "/" in path else ""
+        """``"file:line"`` of the value at ``path`` in the file of highest
+        precedence that sets it, else of its nearest such ancestor."""
+        parts = path.split("/") if path else []
+        while parts:
+            for name, node in self.layers:
+                for part in parts:
+                    node = {k.value: v for k, v in node.value}.get(part) \
+                        if isinstance(node, yaml.MappingNode) else None
+                if node is not None:
+                    return f"{name}:{node.start_mark.line + 1}"
+            parts.pop()
         return self.source_file
-
-
-def _collect_origins(node: Any, path: str, mark_file: str,
-                     yaml_node: yaml.Node | None, out: dict[str, str]) -> None:
-    line = yaml_node.start_mark.line + 1 if yaml_node is not None else 0
-    out[path or ""] = f"{mark_file}:{line}"
-    if isinstance(node, dict):
-        value_nodes = {}
-        if isinstance(yaml_node, yaml.MappingNode):
-            for k_node, v_node in yaml_node.value:
-                value_nodes[k_node.value] = v_node
-        for key, value in node.items():
-            child = f"{path}/{key}" if path else key
-            _collect_origins(value, child, mark_file, value_nodes.get(key), out)
 
 
 class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
@@ -105,15 +101,50 @@ def _named_loader(text: str, name: str) -> _Loader:
     return _Loader(stream)
 
 
+def _refuse_deep_nesting(loader: _Loader, name: str) -> None:
+    """Refuse, from the parser's events, a document nested deeper than
+    ``MAX_DEPTH`` levels once its aliases are expanded.  Every later pass
+    recurses once per level, libyaml's composer in C, where too deep a
+    document kills the process instead of raising an error."""
+    spans: dict[str, int] = {}  # anchor -> levels its collection spans
+    # [anchor, levels below it] of each open collection, under the document
+    stack: list[list] = [[None, 0]]
+    for event in iter(loader.get_event, None):
+        if isinstance(event, yaml.CollectionStartEvent):
+            stack.append([event.anchor, 0])
+            spans[event.anchor] = MAX_DEPTH  # an alias inside never ends
+            levels = 0
+        elif isinstance(event, yaml.CollectionEndEvent):
+            anchor, below = stack.pop()
+            spans[anchor] = levels = below + 1
+        elif isinstance(event, yaml.AliasEvent):
+            levels = spans.get(event.anchor, 0)
+        else:
+            continue
+        if len(stack) - 1 + levels > MAX_DEPTH:
+            raise ConfigError(
+                f"nested deeper than {MAX_DEPTH} levels, aliases expanded",
+                origin=f"{name}:{event.start_mark.line + 1}")
+        stack[-1][1] = max(stack[-1][1], levels)
+
+
 def load_project(path: str | Path) -> ConfigTree:
-    """Load one YAML file into a raw, unresolved tree with origin info."""
+    """Load one YAML file into a raw, unresolved tree."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"configuration file not found: {path}")
-    text = path.read_text(encoding="utf-8")
-    # One parse: the node graph gives the origins, the data is built from it.
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"not UTF-8 text: {exc.reason}",
+                          origin=f"{path}:{line}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read configuration file: {exc.strerror}",
+                          origin=str(path)) from exc
     loader = _named_loader(text, str(path))
     try:
+        _refuse_deep_nesting(_named_loader(text, str(path)), str(path))
         node = loader.get_single_node()
         data = loader.construct_document(node) if node is not None else None
     except yaml.YAMLError as exc:
@@ -124,36 +155,42 @@ def load_project(path: str | Path) -> ConfigTree:
         loader.dispose()
     if not isinstance(data, dict):
         raise ConfigError("root must be a mapping", origin=str(path))
-    origins: dict[str, str] = {}
-    _collect_origins(data, "", str(path), node, origins)
-    return ConfigTree(root=data, origins=origins, source_file=str(path))
+    return ConfigTree(root=data, layers=((str(path), node),),
+                      source_file=str(path))
 
 
-def _deep_merge(base: dict, overlay: dict) -> dict:
-    out = dict(base)
-    for key, value in overlay.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _deep_merge(out[key], value)
-        else:
-            out[key] = value
-    return out
+def _deep_merge(base: dict, overlay: dict, done: dict | None = None) -> dict:
+    # A pair of mappings that aliases share is merged once, and shared.
+    done = {} if done is None else done
+    pair = (id(base), id(overlay))
+    if pair not in done:
+        out = done[pair] = dict(base)
+        for key, value in overlay.items():
+            if isinstance(value, dict) and isinstance(out.get(key), dict):
+                out[key] = _deep_merge(out[key], value, done)
+            else:
+                out[key] = value
+    return done[pair]
 
 
 def _merge_trees(base: ConfigTree, overlay: ConfigTree) -> ConfigTree:
-    merged = _deep_merge(base.root, overlay.root)
-    origins = {**base.origins, **overlay.origins}
-    return ConfigTree(root=merged, origins=origins,
+    # A file imported more than once keeps its first, highest, layer.
+    layers = tuple(dict.fromkeys(overlay.layers + base.layers))
+    return ConfigTree(root=_deep_merge(base.root, overlay.root), layers=layers,
                       source_file=overlay.source_file or base.source_file)
 
 
 def resolve_imports(tree: ConfigTree, base_dir: str | Path,
-                    _stack: tuple[str, ...] = ()) -> ConfigTree:
+                    _stack: tuple[str, ...] = (),
+                    _resolved: dict | None = None) -> ConfigTree:
     """Recursively merge all imported files underneath ``tree``.
 
     Precedence: importing file > later import > earlier import.  Import
-    cycles are detected across the whole chain.
+    cycles are detected across the whole chain.  Each file is read and
+    resolved once per load, however often it is imported.
     """
     base_dir = Path(base_dir)
+    resolved = {} if _resolved is None else _resolved
     own = str(Path(tree.source_file).resolve()) if tree.source_file else None
     if own is not None:
         if own in _stack:
@@ -168,6 +205,9 @@ def resolve_imports(tree: ConfigTree, base_dir: str | Path,
     if not isinstance(imports, list) or not all(isinstance(i, str) for i in imports):
         raise ConfigError("'import' must be a list of file paths",
                           key_path=IMPORT_KEY, origin=tree.origin(IMPORT_KEY))
+    if len(_stack) >= MAX_DEPTH:
+        raise ConfigError(f"imports nested deeper than {MAX_DEPTH} files",
+                          key_path=IMPORT_KEY, origin=tree.origin(IMPORT_KEY))
 
     accumulated: ConfigTree | None = None
     for entry in imports:
@@ -179,16 +219,16 @@ def resolve_imports(tree: ConfigTree, base_dir: str | Path,
                 f"imported file not found: {entry} "
                 f"(imported by {tree.source_file})",
                 key_path=IMPORT_KEY, origin=tree.origin(IMPORT_KEY))
-        imported = load_project(entry_path)
-        imported = resolve_imports(imported, entry_path.parent, _stack)
-        accumulated = imported if accumulated is None \
-            else _merge_trees(accumulated, imported)
+        key = str(entry_path.resolve())
+        if key not in resolved:
+            resolved[key] = resolve_imports(
+                load_project(entry_path), entry_path.parent, _stack, resolved)
+        accumulated = resolved[key] if accumulated is None \
+            else _merge_trees(accumulated, resolved[key])
 
     top = ConfigTree(
         root={k: v for k, v in tree.root.items() if k != IMPORT_KEY},
-        origins={k: v for k, v in tree.origins.items() if
-                 k != IMPORT_KEY and not k.startswith(IMPORT_KEY + "/")},
-        source_file=tree.source_file)
+        layers=tree.layers, source_file=tree.source_file)
     return _merge_trees(accumulated, top) if accumulated is not None else top
 
 
@@ -208,13 +248,37 @@ def resolve_placeholders(tree: ConfigTree) -> ConfigTree:
     which is reported with its chain.
     """
     leaves: list[tuple[Any, Any, str]] = []
-    root = _copy(tree.root, "", leaves)
-    # (id of the container, key) -> True once resolved, False while waiting
-    state: dict[tuple[int, Any], bool] = {}
+    budget = iter(range(MAX_VALUES))
 
     def fail(message: str, at_path: str) -> ConfigError:
         return ConfigError(message, key_path=at_path,
                            origin=tree.origin(at_path))
+
+    def copy(node: Any, path: str) -> Any:
+        """Copy of the mappings and lists, keys as text as in JSON; each
+        copied string's container, key and path go to ``leaves``, in order."""
+        if next(budget, None) is None:
+            raise fail(f"more than {MAX_VALUES} values once aliases are "
+                       f"expanded", path)
+        if isinstance(node, dict):
+            out: Any = {}
+            items = ((key if isinstance(key, str) else json.dumps(key), value)
+                     for key, value in node.items())
+        elif isinstance(node, list):
+            out = [None] * len(node)
+            items = enumerate(node)
+        else:
+            return node
+        for key, value in items:
+            at_path = f"{path}/{key}" if path else str(key)
+            if isinstance(value, str):
+                leaves.append((out, key, at_path))
+            out[key] = copy(value, at_path)
+        return out
+
+    root = copy(tree.root, "")
+    # (id of the container, key) -> True once resolved, False while waiting
+    state: dict[tuple[int, Any], bool] = {}
 
     for leaf in leaves:
         if state.get((id(leaf[0]), leaf[1])):
@@ -257,29 +321,8 @@ def resolve_placeholders(tree: ConfigTree) -> ConfigTree:
                 continue
             node[key] = (text[:match.start()] + _scalar_text(value)
                          + text[match.end():])
-    return ConfigTree(root=root, origins=dict(tree.origins),
+    return ConfigTree(root=root, layers=tree.layers,
                       source_file=tree.source_file)
-
-
-def _copy(node: Any, path: str, leaves: list) -> Any:
-    """Copy of the mappings and lists; keys become text, as in JSON.  The
-    container, key and path of each copied string go to ``leaves``, in
-    document order."""
-    if isinstance(node, dict):
-        out: Any = {}
-        items = ((key if isinstance(key, str) else json.dumps(key), value)
-                 for key, value in node.items())
-    elif isinstance(node, list):
-        out = [None] * len(node)
-        items = enumerate(node)
-    else:
-        return node
-    for key, value in items:
-        at_path = f"{path}/{key}" if path else str(key)
-        if isinstance(value, str):
-            leaves.append((out, key, at_path))
-        out[key] = _copy(value, at_path, leaves)
-    return out
 
 
 def process_project(path: str | Path) -> ConfigTree:

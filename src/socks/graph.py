@@ -68,37 +68,20 @@ def build_graph(blocks: dict[str, BlockSpec],
                         f"package ({ref!r} matches nothing)")
     graph = DependencyGraph(nodes=frozenset(blocks),
                             edges={u: frozenset(vs) for u, vs in edges.items()})
-    cycle = _find_cycle(graph)
-    if cycle:
+    left = set(blocks).difference(topological_order(graph, set(blocks)))
+    if left:
+        # Each block the sort leaves over waits on another left-over block,
+        # so walking back along dependencies closes a cycle.
+        walked: dict[str, int] = {}
+        node = min(left)
+        while node not in walked:
+            walked[node] = len(walked)
+            node = min(dep for dep in blocks[node].dependencies if dep in left)
+        cycle = list(walked)[walked[node]:][::-1]
+        start = cycle.index(min(cycle))
+        cycle = cycle[start:] + cycle[:start + 1]
         raise CycleError("dependency cycle: " + " -> ".join(cycle), cycle)
     return graph
-
-
-def _find_cycle(graph: DependencyGraph) -> list[str]:
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {n: WHITE for n in graph.nodes}
-    stack: list[str] = []
-
-    def dfs(node: str) -> list[str] | None:
-        color[node] = GRAY
-        stack.append(node)
-        for succ in sorted(graph.edges.get(node, ())):
-            if color[succ] == GRAY:
-                return stack[stack.index(succ):] + [succ]
-            if color[succ] == WHITE:
-                found = dfs(succ)
-                if found:
-                    return found
-        stack.pop()
-        color[node] = BLACK
-        return None
-
-    for start in sorted(graph.nodes):
-        if color[start] == WHITE:
-            found = dfs(start)
-            if found:
-                return found
-    return []
 
 
 def compute_active_set(graph: DependencyGraph, inv: Invocation) -> set[str]:

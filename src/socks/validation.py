@@ -228,43 +228,37 @@ def validate_general(tree: ConfigTree) -> GeneralSettings:
     """Validate the general section and block-set completeness."""
     for required in ("project/type", "project/name"):
         if not tree.has(required):
-            raise ValidationError("missing required key", key_path=required,
-                                  origin=tree.source_file)
+            raise _error("missing required key", required, tree)
     ptype_name = tree.get("project/type")
     ptype = project_type(str(ptype_name))
 
     tool = tree.get("external_tools/container_tool", "docker")
     if tool not in CONTAINER_TOOLS:
-        raise ValidationError(
+        raise _error(
             f"container_tool must be one of {CONTAINER_TOOLS}, got {tool!r}",
-            key_path="external_tools/container_tool",
-            origin=tree.origin("external_tools/container_tool"))
+            "external_tools/container_tool", tree)
 
     max_threads = tree.get("external_tools/max_threads", ALL_CORES)
     if max_threads != ALL_CORES:
         if not isinstance(max_threads, int) or max_threads < 1:
-            raise ValidationError(
-                f"max_threads must be a positive int or '{ALL_CORES}'",
-                key_path="external_tools/max_threads",
-                origin=tree.origin("external_tools/max_threads"))
+            raise _error(f"max_threads must be a positive int or "
+                         f"'{ALL_CORES}'", "external_tools/max_threads", tree)
 
     blocks = tree.get("blocks", None)
     if not isinstance(blocks, dict) or not blocks:
-        raise ValidationError("the 'blocks' section must be a non-empty mapping",
-                              key_path="blocks", origin=tree.origin("blocks"))
+        raise _error("the 'blocks' section must be a non-empty mapping",
+                     "blocks", tree)
     for block_id in blocks:
         _check_id(block_id, f"blocks/{block_id}", tree)
     for block_id in ptype.mandatory_blocks:
         if block_id not in blocks:
-            raise ValidationError(f"missing mandatory block: {block_id}",
-                                  key_path=f"blocks/{block_id}",
-                                  origin=tree.origin("blocks"))
+            raise _error(f"missing mandatory block: {block_id}",
+                         f"blocks/{block_id}", tree)
     for group in ptype.optional_groups:
         if not group & set(blocks):
             names = ", ".join(sorted(group))
-            raise ValidationError(
-                f"at least one of the blocks {{{names}}} must be configured",
-                key_path="blocks", origin=tree.origin("blocks"))
+            raise _error(f"at least one of the blocks {{{names}}} must be "
+                         f"configured", "blocks", tree)
 
     return GeneralSettings(
         project_type=str(ptype_name),
@@ -280,15 +274,13 @@ def validate_block(tree: ConfigTree, block_id: str,
     base_path = f"blocks/{block_id}"
     section = tree.get(base_path, None)
     if not isinstance(section, dict):
-        raise ValidationError("block section missing or not a mapping",
-                              key_path=base_path, origin=tree.origin(base_path))
+        raise _error("block section missing or not a mapping", base_path,
+                     tree)
     common = check_section(section, CommonBlockModel, base_path, tree)
     source_mode = common["source"]
     if source_mode not in ("build", "import"):
-        raise ValidationError(
-            f"source must be 'build' or 'import', got {source_mode!r}",
-            key_path=f"{base_path}/source",
-            origin=tree.origin(f"{base_path}/source"))
+        raise _error(f"source must be 'build' or 'import', got "
+                     f"{source_mode!r}", f"{base_path}/source", tree)
 
     builder_specific = check_section(common["project"], schema,
                                      f"{base_path}/project", tree)
@@ -296,19 +288,16 @@ def validate_block(tree: ConfigTree, block_id: str,
     dependencies = dict(builder_specific["dependencies"])
 
     if source_mode == "import" and not import_src:
-        raise ValidationError(
-            "import_src is required when source is 'import'",
-            key_path=f"{base_path}/project/import_src",
-            origin=tree.origin(f"{base_path}/project"))
+        raise _error("import_src is required when source is 'import'",
+                     f"{base_path}/project/import_src", tree)
 
     for dep_id, ref in dependencies.items():
-        _check_id(dep_id, f"{base_path}/project/dependencies/{dep_id}", tree)
+        dep_path = f"{base_path}/project/dependencies/{dep_id}"
+        _check_id(dep_id, dep_path, tree)
         if ref.startswith("/"):
-            raise ValidationError(
-                "dependency paths must be relative to the project folder "
-                "(or URLs), never absolute host paths",
-                key_path=f"{base_path}/project/dependencies/{dep_id}",
-                origin=tree.origin(f"{base_path}/project/dependencies/{dep_id}"))
+            raise _error("dependency paths must be relative to the project "
+                         "folder (or URLs), never absolute host paths",
+                         dep_path, tree)
 
     return BlockSpec(
         block_id=block_id,

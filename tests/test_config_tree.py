@@ -2,17 +2,14 @@
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
 import textwrap
 from pathlib import Path
 
 import pytest
+from helpers import run_socks_capped
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import socks
 from socks.configtree import (ConfigTree, _merge_trees, load_project,
                               process_project, render_effective_config,
                               resolve_imports, resolve_placeholders)
@@ -214,28 +211,17 @@ def test_placeholder_cycle_chain_starts_at_the_first_string():
     assert "a -> b -> a" in str(exc.value)
 
 
-def test_a_string_that_doubles_itself_is_a_cycle_not_a_blowup():
+def test_a_string_that_doubles_itself_is_a_cycle_not_a_blowup(tmp_path):
     # Resolving round after round doubles this text each round.  The
     # child process caps its own address space, so such a resolver fails
     # with MemoryError there instead of taking the machine's memory.
     pytest.importorskip("resource")
-    code = textwrap.dedent("""\
-        import resource
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-        from socks.configtree import ConfigTree, resolve_placeholders
-        from socks.errors import CycleError
-        root = {"a": "{{a}}{{a}}", **{f"k{i}": "x" for i in range(40)}}
-        try:
-            resolve_placeholders(ConfigTree(root))
-        except CycleError as exc:
-            print(exc.chain)
-        """)
-    src = str(Path(socks.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    result = subprocess.run([sys.executable, "-c", code], env=env,
-                            capture_output=True, text=True, timeout=60)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout == "['a', 'a']\n"
+    config = tmp_path / "socks.yml"
+    config.write_text('a: "{{a}}{{a}}"\n'
+                      + "".join(f"k{i}: x\n" for i in range(40)))
+    result = run_socks_capped(["--show-config"], tmp_path)
+    assert result.returncode == 1, result.stderr
+    assert f"placeholder cycle: a -> a (in {config})" in result.stderr
 
 
 def test_process_project_full(project_dir):

@@ -26,7 +26,7 @@ def fixture_tree(project_dir):
 def drop_block(tree: ConfigTree, block_id: str) -> ConfigTree:
     root = copy.deepcopy(tree.root)
     del root["blocks"][block_id]
-    return ConfigTree(root, dict(tree.origins), tree.source_file)
+    return ConfigTree(root, tree.layers, tree.source_file)
 
 
 def validate(tree: ConfigTree, block_id: str):
@@ -109,7 +109,7 @@ def test_validate_block_dependencies(fixture_tree):
 def test_unknown_key_rejected_with_path(fixture_tree):
     root = copy.deepcopy(fixture_tree.root)
     root["blocks"]["vivado"]["typo_key"] = 1
-    tree = ConfigTree(root, dict(fixture_tree.origins),
+    tree = ConfigTree(root, fixture_tree.layers,
                       fixture_tree.source_file)
     with pytest.raises(ValidationError) as exc:
         validate(tree, "vivado")

@@ -4,6 +4,7 @@ of the command line front end."""
 from __future__ import annotations
 
 import pytest
+import yaml
 from helpers import modules_loaded_by
 
 from socks.builders.repo import RepoProjectModel
@@ -69,6 +70,13 @@ CASES = {
         MAIN, "      image: kernel-builder-alma9\n", "",
         "blocks/kernel/container/image", "missing required key",
         'tag: "{{external_tools'),
+    "non-string key": (
+        MAIN, "      kconfig_file: .config\n",
+        "      kconfig_file: .config\n      1: x\n",
+        "blocks/kernel/project/1",
+        "unknown key (allowed: build_srcs, config_snippets, consumes, "
+        "dependencies, emits, import_src, inputs, kconfig_file, outputs, "
+        "patches, steps)", "1: x"),
     "image hook": (
         DEFAULTS, "        rootfs: temp/rootfs/output/bp_rootfs_*.tar.gz\n", "",
         "blocks/image/project",
@@ -95,7 +103,7 @@ def test_check_section_error_located(project_dir, case):
 
 
 def test_dict_key_of_wrong_type_located():
-    tree = ConfigTree({}, {"p": "f.yml:3"}, "f.yml")
+    tree = ConfigTree({}, (("f.yml", yaml.compose("\n\np: x\n")),), "f.yml")
     with pytest.raises(ValidationError) as exc:
         check_section({"dependencies": {3: "x"}}, BlockProjectModel, "p", tree)
     assert str(exc.value) == ("expected a string as key, got an integer "
@@ -103,7 +111,8 @@ def test_dict_key_of_wrong_type_located():
 
 
 def test_section_must_be_a_mapping():
-    tree = ConfigTree({}, {"p": "f.yml:7"}, "f.yml")
+    tree = ConfigTree({}, (("f.yml", yaml.compose("\n" * 6 + "p: x\n")),),
+                      "f.yml")
     with pytest.raises(ValidationError, match="expected a mapping, got null"):
         check_section(None, BlockProjectModel, "p", tree)
 
@@ -138,7 +147,7 @@ def test_check_hook_rejects_with_section_path():
             if value["low"] > value["high"]:
                 raise ValueError("low must not exceed high")
 
-    tree = ConfigTree({}, {"s": "f.yml:2"}, "f.yml")
+    tree = ConfigTree({}, (("f.yml", yaml.compose("\ns: x\n")),), "f.yml")
     assert check_section({}, Pair, "s", tree) == {"low": "a", "high": "b"}
     with pytest.raises(ValidationError) as exc:
         check_section({"low": "z"}, Pair, "s", tree)

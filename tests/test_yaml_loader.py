@@ -39,14 +39,26 @@ def parsing_with(base_name: str):
         yield
 
 
+def key_paths(node, prefix=""):
+    """The slash-separated path of every mapping key and list item."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        path = f"{prefix}/{key}" if prefix else str(key)
+        yield path
+        yield from key_paths(value, path)
+
+
 def processed(path: Path, base_name: str):
-    """``process_project(path)`` as root and origins, or its error text."""
+    """``process_project(path)`` as root and the origin of every key path,
+    or its error text."""
     with parsing_with(base_name):
         try:
             tree = process_project(path)
         except ConfigError as exc:
             return str(exc)
-    return tree.root, tree.origins
+    return tree.root, {path: tree.origin(path)
+                       for path in key_paths(tree.root)}
 
 
 def assert_same_on_both_bases(path: Path) -> None:
