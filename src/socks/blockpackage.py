@@ -26,7 +26,7 @@ from contextlib import contextmanager
 from datetime import datetime, timezone
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 from urllib.parse import unquote, urlparse
 
 from .errors import ContentRuleViolation, PackageError
@@ -57,9 +57,8 @@ class BlockPackage:
     Deciding whether a block can be skipped needs only the digest.
     """
 
-    def __init__(self, path: Path, emitter: str, digest: str):
+    def __init__(self, path: Path, digest: str):
         self.path = path
-        self.emitter = emitter
         self.digest = digest
 
     @cached_property
@@ -86,14 +85,6 @@ class BlockPackage:
             except OSError:
                 pass  # the listing only saves work; the next run reads it
         return entries
-
-
-class ContentRule(NamedTuple):
-    """Required/optional glob manifest a consumer enforces on a package."""
-
-    emitter: str
-    required_globs: tuple[str, ...] = ()
-    optional_globs: tuple[str, ...] = ()
 
 
 def make_stamp(now: datetime | None = None) -> str:
@@ -450,7 +441,7 @@ def create_package(block_id: str, output_dir: str | Path,
                 f"cannot write block package {archive_path}: {exc}") from exc
         raise
 
-    package = BlockPackage(path=archive_path, emitter=block_id, digest=digest)
+    package = BlockPackage(path=archive_path, digest=digest)
     # The writer knows the listing: seed the cached property.
     package.entries = entries
     return package
@@ -474,7 +465,7 @@ def _add_member(tar: tarfile.TarFile, block_id: str, name: str,
         tar.addfile(info, fh)
 
 
-def open_package(path: str | Path, emitter: str = "") -> BlockPackage:
+def open_package(path: str | Path) -> BlockPackage:
     """Digest a package and check that it starts like one.
 
     A trusted sidecar (see ``_read_sidecar``) gives the digest and, when it
@@ -496,11 +487,8 @@ def open_package(path: str | Path, emitter: str = "") -> BlockPackage:
         except (tarfile.TarError, OSError, EOFError) as exc:
             raise PackageError(
                 f"corrupt or unreadable block package {path}: {exc}") from exc
-    if not emitter:
-        match = re.match(r"^bp_([a-z0-9_]+)_", path.name)
-        emitter = match.group(1) if match else ""
     digest, entries = _digest_and_entries(path, record, trusted)
-    package = BlockPackage(path=path, emitter=emitter, digest=digest)
+    package = BlockPackage(path=path, digest=digest)
     if entries is not None:
         package.entries = tuple(entries)
     return package
@@ -635,16 +623,18 @@ def _http_validator(url: str, headers) -> dict | None:
     return {"url": url, "If-Modified-Since": modified} if settled else None
 
 
-def validate_contents(pkg: BlockPackage, rule: ContentRule) -> list[str]:
-    """Return the unmatched required globs (empty list means the rule holds).
+def validate_contents(pkg: BlockPackage, required: list[str]) -> list[str]:
+    """Return the ``required`` globs no member matches (empty list means the
+    package holds them all).
 
     The whole member listing is read even when no glob is required, so a
-    truncated archive never passes.  Optional globs never cause a failure;
-    they only document what a consumer will pick up when present.
+    truncated archive never passes.  The ``optional`` globs of a content
+    rule are never checked; they only document what a consumer will pick
+    up when present.
     """
     entries = pkg.entries
     violations = []
-    for pattern in rule.required_globs:
+    for pattern in required:
         if not any(fnmatch.fnmatch(entry, pattern) or
                    fnmatch.fnmatch(Path(entry).name, pattern)
                    for entry in entries):
@@ -652,11 +642,12 @@ def validate_contents(pkg: BlockPackage, rule: ContentRule) -> list[str]:
     return violations
 
 
-def require_contents(pkg: BlockPackage, rule: ContentRule) -> None:
-    violations = validate_contents(pkg, rule)
+def require_contents(pkg: BlockPackage, emitter: str,
+                     required: list[str]) -> None:
+    violations = validate_contents(pkg, required)
     if violations:
         raise ContentRuleViolation(
-            f"block package from '{rule.emitter}' ({pkg.path.name}) is missing "
+            f"block package from '{emitter}' ({pkg.path.name}) is missing "
             f"required entries: {violations}", violations)
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from ..registry import register_builder, registered_names
-from .base import Builder, ProjectContext, StageReport
+from .base import Builder, StageReport
 from .image import IMAGE_DESCRIPTOR, ImageBuilder
 from .importer import IMPORT_DESCRIPTOR, ImportBuilder
 from .repo import REPO_DESCRIPTOR, RepoScriptBuilder
@@ -11,7 +11,7 @@ from .script import (ROOTFS_DESCRIPTOR, SCRIPT_DESCRIPTOR, RootfsBuilder,
                      ScriptBuilder)
 
 __all__ = [
-    "Builder", "ProjectContext", "StageReport", "ScriptBuilder",
+    "Builder", "StageReport", "ScriptBuilder",
     "RootfsBuilder", "RepoScriptBuilder", "ImportBuilder", "ImageBuilder",
     "register_builtin_builders",
 ]

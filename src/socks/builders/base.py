@@ -28,28 +28,15 @@ import shutil
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .. import blockpackage as bp
-from ..configtree import ConfigTree
-from ..environment import EnvironmentManager, make_env_spec
+from ..configtree import ConfigTree, render_effective_config
+from ..environment import EnvironmentManager
 from ..errors import BuilderError
 from ..incremental import BuildRecord, needs_rebuild
 from ..registry import BuilderDescriptor, CommandDescriptor
-from ..validation import BlockSpec, GeneralSettings
-
-
-class ProjectContext(NamedTuple):
-    project_dir: Path
-    tree: ConfigTree
-    section_texts: dict[str, str]
-
-
-def content_rule(emitter: str, section: dict | None) -> bp.ContentRule:
-    """The rule of an ``emits`` or ``consumes/<emitter>`` section."""
-    section = section or {}
-    return bp.ContentRule(emitter, tuple(section.get("required", ())),
-                          tuple(section.get("optional", ())))
+from ..validation import GeneralSettings
 
 
 class StageReport:
@@ -66,18 +53,29 @@ class StageReport:
 
 
 class Builder:
-    """Base class wiring framework services together for one block."""
+    """Base class wiring framework services together for one block.
+
+    A builder reads its block's checked section (``section``), whose
+    ``project`` mapping (``settings``) is checked against the builder's
+    schema; both hold every key of their schema, defaults filled in, so
+    keys are read by subscript.  ``tree`` is the processed configuration
+    and ``project_dir`` the folder of the main configuration file.
+    ``section_text`` renders the block's section as configured, without
+    the defaults: a change of it rebuilds the block.
+    """
 
     def __init__(self, *, descriptor: BuilderDescriptor, block_id: str,
-                 spec: BlockSpec, general: GeneralSettings,
-                 context: ProjectContext):
+                 section: dict, general: GeneralSettings, tree: ConfigTree,
+                 project_dir: Path):
         self.descriptor = descriptor
         self.block_id = block_id
-        self.spec = spec
+        self.section = section
+        self.settings = section["project"]
         self.general = general
-        self.context = context
-        self.project_dir = Path(context.project_dir)
-        self.section_text = context.section_texts.get(block_id, "")
+        self.tree = tree
+        self.project_dir = Path(project_dir)
+        self.section_text = render_effective_config(
+            tree.get(f"blocks/{block_id}"))
 
     # -- layout ----------------------------------------------------------
 
@@ -107,16 +105,15 @@ class Builder:
 
     @property
     def env(self) -> EnvironmentManager:
-        spec = make_env_spec(image=self.spec.container_image,
-                             tag=self.spec.container_tag,
-                             container_tool=self.general.container_tool,
-                             project_dir=self.project_dir)
-        return EnvironmentManager(spec, self.general.effective_threads())
+        container = self.section["container"]
+        return EnvironmentManager(
+            container["image"], container["tag"], self.general.container_tool,
+            self.project_dir, self.general.effective_threads())
 
     @property
     def credentials(self) -> dict:
         """Per-host credentials for fetching URLs (``credentials`` key)."""
-        return self.context.tree.get("credentials", {})
+        return self.tree.get("credentials", {})
 
     # -- command dispatch --------------------------------------------------
 
@@ -151,26 +148,17 @@ class Builder:
 
     def resolve_dependencies(self) -> dict[str, bp.BlockPackage]:
         resolved = {}
-        for dep_id in sorted(self.spec.dependencies):
+        dependencies = self.settings["dependencies"]
+        for dep_id in sorted(dependencies):
             with self.failure(f"cannot resolve dependency '{dep_id}'"):
                 # Each URL dependency has a folder of its own: two URLs
                 # may end in the same file name.
                 archive = bp.resolve_dependency(
-                    self.spec.dependencies[dep_id], self.project_dir,
+                    dependencies[dep_id], self.project_dir,
                     download_dir=self.imports_dir / dep_id,
                     credentials=self.credentials)
-                resolved[dep_id] = bp.open_package(archive, emitter=dep_id)
+                resolved[dep_id] = bp.open_package(archive)
         return resolved
-
-    def validate_dependency_contents(
-            self, packages: dict[str, bp.BlockPackage]) -> None:
-        consumes = self.spec.builder_specific.get("consumes") or {}
-        for dep_id, section in consumes.items():
-            if dep_id not in packages:
-                continue
-            with self.failure(f"cannot use dependency '{dep_id}'"):
-                bp.require_contents(packages[dep_id],
-                                    content_rule(dep_id, section))
 
     def import_dependencies(self, packages: dict[str, bp.BlockPackage], *,
                             extract: bool = True) -> None:
@@ -215,15 +203,15 @@ class Builder:
     def run_import(self) -> StageReport:
         """Source this block's package from ``import_src`` instead of
         building; an import of the digest last committed is skipped."""
-        src = self.spec.import_src
+        src = self.settings["import_src"]
         if not src:
             raise BuilderError(
                 f"block '{self.block_id}' is set to source 'import' but has "
                 f"no import_src")
 
         def publish() -> str:
-            bp.require_contents(package, content_rule(
-                self.block_id, self.spec.builder_specific.get("emits")))
+            bp.require_contents(package, self.block_id,
+                                self.settings["emits"]["required"])
             published = self.output_dir / archive.name
             with self.failure(
                     f"cannot publish its imported package {published}"):
@@ -246,7 +234,7 @@ class Builder:
             archive = bp.resolve_dependency(
                 src, self.project_dir, download_dir=self.imports_dir,
                 credentials=self.credentials)
-            package = bp.open_package(archive, emitter=self.block_id)
+            package = bp.open_package(archive)
             # Judged by digest only: a download is always newer than any
             # package, and a local copy keeps the mtime of its source.
             return self.build(sources=[],

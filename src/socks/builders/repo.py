@@ -47,32 +47,30 @@ class RepoScriptBuilder(ScriptBuilder):
 
     @property
     def kconfig_path(self) -> Path:
-        return self.checkout_dir / self.spec.builder_specific["kconfig_file"]
+        return self.checkout_dir / self.settings["kconfig_file"]
 
     @property
     def kconfig_baseline(self) -> Path:
         return self.work_dir / "kconfig.last"
 
     def source_ref(self) -> SourceRef:
-        srcs = self.spec.builder_specific["build_srcs"]
+        srcs = self.settings["build_srcs"]
         source = srcs["source"]
         # Local repository paths are relative to the project folder.
         if "://" not in source and "@" not in source \
                 and not Path(source).is_absolute():
             source = str(self.project_dir / source)
         return SourceRef(block=self.block_id, source=source,
-                         branch=srcs.get("branch", ""),
+                         branch=srcs["branch"],
                          checkout_dir=self.checkout_dir,
                          record=self.work_dir / "checkout.json")
 
     def patch_files(self) -> list[Path]:
-        return [self.files_dir / name
-                for name in self.spec.builder_specific.get("patches", [])]
+        return [self.files_dir / name for name in self.settings["patches"]]
 
     def snippet_files(self) -> list[Path]:
         return [self.files_dir / name
-                for name in
-                self.spec.builder_specific.get("config_snippets", [])]
+                for name in self.settings["config_snippets"]]
 
     def source_paths(self) -> list[Path]:
         return super().source_paths() + [self.checkout_dir, self.files_dir]
@@ -86,8 +84,7 @@ class RepoScriptBuilder(ScriptBuilder):
         self.work_dir.mkdir(parents=True, exist_ok=True)
         ref = self.source_ref()
         sync_source(ref)
-        apply_patches(ref, self.patch_files(),
-                      self.spec.builder_specific["kconfig_file"])
+        apply_patches(ref, self.patch_files(), self.settings["kconfig_file"])
         apply_config_snippets(self.kconfig_path, self.snippet_files())
         if self.kconfig_path.exists():
             self.kconfig_baseline.write_bytes(self.kconfig_path.read_bytes())
@@ -100,8 +97,7 @@ class RepoScriptBuilder(ScriptBuilder):
         # Imported here: only the two commands that edit the config need it.
         from ..configedit import plan_list_append
 
-        return partial(plan_list_append, self.context.tree, self.block_id,
-                       key)
+        return partial(plan_list_append, self.tree, self.block_id, key)
 
     def cmd_create_patches(self) -> StageReport:
         if not (self.checkout_dir / ".git").exists():
@@ -119,10 +115,10 @@ class RepoScriptBuilder(ScriptBuilder):
     def cmd_create_cfg_snippet(self) -> StageReport:
         if not self.kconfig_path.exists():
             raise BuilderError(
-                f"no {self.spec.builder_specific['kconfig_file']} in the "
+                f"no {self.settings['kconfig_file']} in the "
                 f"checkout of block '{self.block_id}'")
-        existing = self.spec.builder_specific.get("config_snippets", [])
-        name = f"cfg-snippet-{len(existing) + 1:04d}.cfg"
+        count = len(self.settings["config_snippets"])
+        name = f"cfg-snippet-{count + 1:04d}.cfg"
         changed = create_config_snippet(
             self.kconfig_path, self.kconfig_baseline, self.files_dir / name,
             self.list_edit("config_snippets"))

@@ -45,8 +45,7 @@ class ScriptBuilder(Builder):
     """Runs configured shell steps in the block's environment."""
 
     def source_paths(self) -> list[Path]:
-        return [self.project_dir / p
-                for p in self.spec.builder_specific.get("inputs", [])]
+        return [self.project_dir / p for p in self.settings["inputs"]]
 
     def step_env(self, packages) -> dict[str, str]:
         env = self.env
@@ -63,17 +62,17 @@ class ScriptBuilder(Builder):
             shutil.rmtree(self.stage_dir)
         self.stage_dir.mkdir(parents=True, exist_ok=True)
         # Only steps read the extracted packages.
-        self.import_dependencies(
-            packages, extract=bool(self.spec.builder_specific.get("steps")))
+        self.import_dependencies(packages,
+                                 extract=bool(self.settings["steps"]))
 
     def run_steps(self, packages) -> None:
         env = self.step_env(packages)
-        for step in self.spec.builder_specific.get("steps", []):
+        for step in self.settings["steps"]:
             self.env.run(step, workdir=self.work_dir, env=env)
 
     def collect_outputs(self) -> dict[str, Path]:
         files: dict[str, Path] = {}
-        for declared in self.spec.builder_specific.get("outputs", []):
+        for declared in self.settings["outputs"]:
             path = self.stage_dir / declared
             if not path.is_file():
                 raise BuilderError(
@@ -94,7 +93,7 @@ class ScriptBuilder(Builder):
         return {}
 
     def cmd_build(self) -> StageReport:
-        if self.spec.source_mode == "import":
+        if self.section["source"] == "import":
             return self.run_import()
         packages = self.resolve_dependencies()
         # Local dependency archives count as sources: a freshly rebuilt
@@ -102,12 +101,16 @@ class ScriptBuilder(Builder):
         # unchanged.  Downloads are always fresh, so only digests judge them.
         sources = self.source_paths() + [
             pkg.path for dep_id, pkg in packages.items()
-            if not bp.is_url(self.spec.dependencies[dep_id])]
+            if not bp.is_url(self.settings["dependencies"][dep_id])]
         inputs = {dep_id: pkg.digest for dep_id, pkg in packages.items()}
         inputs.update(self.fetched_inputs())
 
         def publish() -> str:
-            self.validate_dependency_contents(packages)
+            for dep_id, rule in self.settings["consumes"].items():
+                if dep_id in packages:
+                    with self.failure(f"cannot use dependency '{dep_id}'"):
+                        bp.require_contents(packages[dep_id], dep_id,
+                                            rule["required"])
             self.env.ensure_image()
             self.work_dir.mkdir(parents=True, exist_ok=True)
             self.sync_sources()
@@ -133,7 +136,7 @@ class RootfsBuilder(ScriptBuilder):
     PACKAGES_FILE = "packages.txt"
 
     def extra_package_refs(self) -> list[str]:
-        return self.spec.builder_specific.get("extra_packages", [])
+        return self.settings["extra_packages"]
 
     def source_paths(self) -> list[Path]:
         return super().source_paths() + [

@@ -102,26 +102,6 @@ def execute_host(argv: list[str], *, cwd: str | Path | None = None,
     return _run(list(argv), kind="host", cwd=cwd, check=check)
 
 
-class EnvSpec(NamedTuple):
-    image: str
-    tag: str
-    tool: str  # docker | podman
-    mode: str  # container | host
-    project_dir: Path
-
-    @property
-    def image_ref(self) -> str:
-        return f"{self.image}:{self.tag}"
-
-
-def make_env_spec(*, image: str, tag: str, container_tool: str,
-                  project_dir: str | Path) -> EnvSpec:
-    mode = "host" if container_tool == "disabled" else "container"
-    return EnvSpec(image=image, tag=tag,
-                   tool=container_tool if mode == "container" else "",
-                   mode=mode, project_dir=Path(project_dir))
-
-
 def bundled_containerfile(image: str) -> Path:
     path = Path(__file__).parent / "containerfiles" / f"{image}.Containerfile"
     if not path.exists():
@@ -143,14 +123,20 @@ def daemon_problem(tool: str) -> str | None:
 
 
 class EnvironmentManager:
-    """Image lifecycle plus command execution for one environment spec."""
+    """Image lifecycle plus command execution for one block's environment:
+    the container image ``image:tag`` of ``tool`` (docker or podman), or
+    the host when ``tool`` is ``disabled``."""
 
-    def __init__(self, spec: EnvSpec, max_threads: int = 1):
-        self.spec = spec
+    def __init__(self, image: str, tag: str, tool: str,
+                 project_dir: str | Path, max_threads: int = 1):
+        self.image = image
+        self.image_ref = f"{image}:{tag}"
+        self.tool = tool
+        self.project_dir = Path(project_dir)
         self.max_threads = max_threads
 
     def _image_exists(self) -> bool:
-        result = _run([self.spec.tool, "image", "inspect", self.spec.image_ref],
+        result = _run([self.tool, "image", "inspect", self.image_ref],
                       kind="container-tool", check=False)
         return result.ok
 
@@ -159,36 +145,36 @@ class EnvironmentManager:
         exists in the container tool's store (shared across projects)."""
         import fcntl
 
-        if self.spec.mode == "host":
+        if self.tool == "disabled":
             return {"built": False}
-        problem = daemon_problem(self.spec.tool)
+        problem = daemon_problem(self.tool)
         if problem:
             raise EnvironmentError_(
-                f"the {self.spec.tool} daemon does not answer: {problem}")
-        containerfile = bundled_containerfile(self.spec.image)
-        lock_dir = self.spec.project_dir / "temp" / ".locks"
+                f"the {self.tool} daemon does not answer: {problem}")
+        containerfile = bundled_containerfile(self.image)
+        lock_dir = self.project_dir / "temp" / ".locks"
         lock_dir.mkdir(parents=True, exist_ok=True)
-        lock_path = lock_dir / f"image-{self.spec.image}.lock"
+        lock_path = lock_dir / f"image-{self.image}.lock"
         with open(lock_path, "w") as lock_fh:
             fcntl.flock(lock_fh, fcntl.LOCK_EX)
             if self._image_exists():
                 return {"built": False}
-            log.info("building container image %s", self.spec.image_ref)
-            _run([self.spec.tool, "build", "-t", self.spec.image_ref,
+            log.info("building container image %s", self.image_ref)
+            _run([self.tool, "build", "-t", self.image_ref,
                   "-f", str(containerfile), str(containerfile.parent)],
                  kind="container-tool")
         return {"built": True}
 
     def _container_path(self, host_path: Path) -> str:
         rel = Path(host_path).resolve().relative_to(
-            self.spec.project_dir.resolve())
+            self.project_dir.resolve())
         return f"{CONTAINER_MOUNT}/{rel.as_posix()}"
 
     def _run_argv(self, workdir: str | Path, *flags: str) -> list[str]:
         """``<tool> run`` of a throwaway container, as this user."""
-        return [self.spec.tool, "run", "--rm", *flags,
+        return [self.tool, "run", "--rm", *flags,
                 "-u", f"{os.getuid()}:{os.getgid()}",
-                "-v", f"{self.spec.project_dir.resolve()}:{CONTAINER_MOUNT}",
+                "-v", f"{self.project_dir.resolve()}:{CONTAINER_MOUNT}",
                 "-w", self._container_path(Path(workdir))]
 
     def run(self, cmd: str, *, workdir: str | Path,
@@ -196,30 +182,30 @@ class EnvironmentManager:
         """Run a build command via bash, in the container or on the host."""
         extra = {"SOCKS_MAX_THREADS": str(self.max_threads)}
         extra.update(env or {})
-        if self.spec.mode == "host":
+        if self.tool == "disabled":
             Path(workdir).mkdir(parents=True, exist_ok=True)
             return _run(["bash", "-c", cmd], kind="build",
                         cwd=workdir, env=extra, check=check)
         argv = self._run_argv(workdir)
         for key, value in extra.items():
             argv += ["-e", f"{key}={value}"]
-        argv += [self.spec.image_ref, "bash", "-c", cmd]
-        log.info("container start: %s", self.spec.image_ref)
+        argv += [self.image_ref, "bash", "-c", cmd]
+        log.info("container start: %s", self.image_ref)
         try:
             return _run(argv, kind="container-tool", check=check)
         finally:
-            log.info("container stopped: %s", self.spec.image_ref)
+            log.info("container stopped: %s", self.image_ref)
 
     def translate_path(self, host_path: Path) -> str:
         """Path as seen by build commands (container mount or host path)."""
-        if self.spec.mode == "host":
+        if self.tool == "disabled":
             return str(Path(host_path))
         return self._container_path(host_path)
 
     def interactive_session(self, workdir: str | Path) -> int:
         import subprocess
 
-        if self.spec.mode == "host":
+        if self.tool == "disabled":
             raise EnvironmentError_(
                 "start-container requires containerization; "
                 "container_tool is 'disabled'")
@@ -227,7 +213,7 @@ class EnvironmentManager:
             raise EnvironmentError_(
                 "start-container needs an attached terminal")
         self.ensure_image()
-        argv = self._run_argv(workdir, "-it") + [self.spec.image_ref, "bash"]
-        log.info("interactive container session: %s", self.spec.image_ref)
+        argv = self._run_argv(workdir, "-it") + [self.image_ref, "bash"]
+        log.info("interactive container session: %s", self.image_ref)
         _notify("container-tool", argv)
         return subprocess.call(argv)

@@ -14,7 +14,6 @@ from typing import NamedTuple
 
 from .blockpackage import is_url
 from .errors import CycleError, GraphError
-from .validation import BlockSpec
 
 ALL = "all"
 
@@ -44,17 +43,18 @@ def check_block(known, block_id: str) -> None:
         raise GraphError(f"unknown block '{block_id}' (valid: {valid})")
 
 
-def build_graph(blocks: dict[str, BlockSpec],
+def build_graph(blocks: dict[str, dict[str, str]],
                 project_dir=None) -> DependencyGraph:
-    """Derive the graph from each block's dependencies section.
+    """Derive the graph from each block's dependencies mapping.
 
     A dependency entry naming a configured block creates an edge.  Entries
     pointing at external sources (URLs, or local files that already exist)
-    create no edge; anything else is unsatisfiable and rejected.
+    create no edge; anything else is unsatisfiable and rejected.  Either
+    error names the key path of a dependency entry.
     """
     edges: dict[str, set[str]] = {bid: set() for bid in blocks}
-    for block_id, spec in blocks.items():
-        for dep_id, ref in spec.dependencies.items():
+    for block_id, dependencies in blocks.items():
+        for dep_id, ref in dependencies.items():
             if dep_id in blocks:
                 edges[dep_id].add(block_id)
             elif is_url(ref):
@@ -65,7 +65,9 @@ def build_graph(blocks: dict[str, BlockSpec],
                     raise GraphError(
                         f"block '{block_id}' depends on '{dep_id}', which is "
                         f"neither a configured block nor an importable "
-                        f"package ({ref!r} matches nothing)")
+                        f"package ({ref!r} matches nothing)",
+                        key_path=f"blocks/{block_id}/project/dependencies/"
+                                 f"{dep_id}")
     graph = DependencyGraph(nodes=frozenset(blocks),
                             edges={u: frozenset(vs) for u, vs in edges.items()})
     left = set(blocks).difference(topological_order(graph, set(blocks)))
@@ -76,11 +78,14 @@ def build_graph(blocks: dict[str, BlockSpec],
         node = min(left)
         while node not in walked:
             walked[node] = len(walked)
-            node = min(dep for dep in blocks[node].dependencies if dep in left)
+            node = min(dep for dep in blocks[node] if dep in left)
         cycle = list(walked)[walked[node]:][::-1]
         start = cycle.index(min(cycle))
         cycle = cycle[start:] + cycle[:start + 1]
-        raise CycleError("dependency cycle: " + " -> ".join(cycle), cycle)
+        # x -> y means y depends on x: name y's entry for x.
+        raise CycleError("dependency cycle: " + " -> ".join(cycle), cycle,
+                         key_path=f"blocks/{cycle[1]}/project/dependencies/"
+                                  f"{cycle[0]}")
     return graph
 
 

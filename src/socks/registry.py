@@ -98,9 +98,10 @@ def get_descriptor(name: str) -> BuilderDescriptor:
     return _REGISTRY[name][0]
 
 
-def instantiate(name: str, block_id: str, spec, general, context):
+def instantiate(name: str, block_id: str, section, general, tree,
+                project_dir):
     """Create a builder bound to its block; performs no filesystem writes."""
     descriptor = get_descriptor(name)
     factory = _REGISTRY[name][1]
-    return factory(descriptor=descriptor, block_id=block_id, spec=spec,
-                   general=general, context=context)
+    return factory(descriptor=descriptor, block_id=block_id, section=section,
+                   general=general, tree=tree, project_dir=project_dir)

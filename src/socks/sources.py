@@ -41,7 +41,10 @@ class SourceRef(NamedTuple):
 
 
 def _git(checkout: Path, *args: str, check: bool = True):
-    return execute_host(["git", "-C", str(checkout), *args], check=check)
+    # No automatic `git maintenance` child (git am starts one per patch):
+    # socks recreates its checkouts by cloning.
+    return execute_host(["git", "-c", "maintenance.auto=false", "-C",
+                         str(checkout), *args], check=check)
 
 
 def head_commit(checkout: Path) -> str:

@@ -66,23 +66,6 @@ class GeneralSettings(typing.NamedTuple):
         return int(self.max_threads)
 
 
-class BlockSpec:
-    def __init__(self, block_id: str, builder_name: str,
-                 source_mode: str = "build", import_src: str | None = None,
-                 container_image: str = "", container_tag: str = "",
-                 dependencies: dict[str, str] | None = None,
-                 builder_specific: dict | None = None):
-        self.block_id = block_id
-        self.builder_name = builder_name
-        self.source_mode = source_mode
-        self.import_src = import_src
-        self.container_image = container_image
-        self.container_tag = container_tag
-        self.dependencies = {} if dependencies is None else dependencies
-        self.builder_specific = \
-            {} if builder_specific is None else builder_specific
-
-
 class Schema:
     """Base of the section schemas.
 
@@ -269,43 +252,29 @@ def validate_general(tree: ConfigTree) -> GeneralSettings:
 
 
 def validate_block(tree: ConfigTree, block_id: str,
-                   schema: type[BlockProjectModel]) -> BlockSpec:
-    """Validate one block section; ``schema`` is the builder's project model."""
+                   schema: type[BlockProjectModel]) -> dict:
+    """The checked block section, its ``project`` mapping checked against
+    ``schema``, the builder's project model; every default is filled in."""
     base_path = f"blocks/{block_id}"
     section = tree.get(base_path, None)
     if not isinstance(section, dict):
         raise _error("block section missing or not a mapping", base_path,
                      tree)
-    common = check_section(section, CommonBlockModel, base_path, tree)
-    source_mode = common["source"]
-    if source_mode not in ("build", "import"):
+    checked = check_section(section, CommonBlockModel, base_path, tree)
+    if checked["source"] not in ("build", "import"):
         raise _error(f"source must be 'build' or 'import', got "
-                     f"{source_mode!r}", f"{base_path}/source", tree)
-
-    builder_specific = check_section(common["project"], schema,
-                                     f"{base_path}/project", tree)
-    import_src = builder_specific["import_src"]
-    dependencies = dict(builder_specific["dependencies"])
-
-    if source_mode == "import" and not import_src:
+                     f"{checked['source']!r}", f"{base_path}/source", tree)
+    settings = checked["project"] = check_section(
+        checked["project"], schema, f"{base_path}/project", tree)
+    if checked["source"] == "import" and not settings["import_src"]:
         raise _error("import_src is required when source is 'import'",
                      f"{base_path}/project/import_src", tree)
 
-    for dep_id, ref in dependencies.items():
+    for dep_id, ref in settings["dependencies"].items():
         dep_path = f"{base_path}/project/dependencies/{dep_id}"
         _check_id(dep_id, dep_path, tree)
         if ref.startswith("/"):
             raise _error("dependency paths must be relative to the project "
                          "folder (or URLs), never absolute host paths",
                          dep_path, tree)
-
-    return BlockSpec(
-        block_id=block_id,
-        builder_name=common["builder"],
-        source_mode=source_mode,
-        import_src=import_src,
-        container_image=common["container"]["image"],
-        container_tag=common["container"]["tag"],
-        dependencies=dependencies,
-        builder_specific=builder_specific,
-    )
+    return checked

@@ -144,8 +144,19 @@ def test_kernel_patch_and_snippets_applied(project, project_dir):
     assert "# CONFIG_DEBUG is not set" in config
 
 
-def test_rootfs_packages_file_lists_payload_digests(project, project_dir):
-    run(project, Invocation("rootfs", "build", group=True))
+def test_rootfs_packages_file_lists_payload_digests(project_dir):
+    # An optional glob that matches nothing never fails the consumer.
+    defaults = project_dir / "project-zynqmp-default.yml"
+    text = defaults.read_text(encoding="utf-8")
+    rule = "        kernel:\n          required: [Image.txt]\n"
+    assert rule in text
+    defaults.write_text(text.replace(
+        rule, rule + '          optional: ["missing-*"]\n'), encoding="utf-8")
+    project = Project.load(project_dir / "socks.yml")
+    assert project.builders["rootfs"].settings["consumes"]["kernel"] == {
+        "required": ["Image.txt"], "optional": ["missing-*"]}
+    report = run(project, Invocation("rootfs", "build", group=True))
+    assert report.outcome == "completed", report.error
     with tarfile.open(newest_package(project_dir, "rootfs"), "r:gz") as tar:
         listing = tar.extractfile("packages.txt").read().decode()
     for name in ("tool-1.0.pkg", "lib-2.1.pkg"):
@@ -320,7 +331,7 @@ def test_disk_full_while_staging_exits_2_naming_the_block(
 
 def test_import_source_without_src_fails_clearly(project):
     builder = project.builders["vivado"]
-    object.__setattr__(builder.spec, "source_mode", "import")
+    builder.section["source"] = "import"
     with pytest.raises(BuilderError, match="import_src"):
         builder.run_import()
 

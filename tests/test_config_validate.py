@@ -92,18 +92,18 @@ def test_all_cores_sentinel():
 
 
 def test_validate_block_common_fields(fixture_tree):
-    spec = validate(fixture_tree, "vivado")
-    assert spec.block_id == "vivado"
-    assert spec.builder_name == "Script_Builder"
-    assert spec.source_mode == "build"
-    assert spec.container_image == "socks-mock-builder"
-    assert spec.container_tag == "socks"
+    section = validate(fixture_tree, "vivado")
+    assert section["builder"] == "Script_Builder"
+    assert section["source"] == "build"
+    assert section["container"] == {"image": "socks-mock-builder",
+                                    "tag": "socks"}
 
 
 def test_validate_block_dependencies(fixture_tree):
-    spec = validate(fixture_tree, "image")
-    assert set(spec.dependencies) == {"atf", "devicetree", "fsbl", "kernel",
-                                      "pmu_fw", "uboot", "vivado", "rootfs"}
+    section = validate(fixture_tree, "image")
+    assert set(section["project"]["dependencies"]) == {
+        "atf", "devicetree", "fsbl", "kernel", "pmu_fw", "uboot", "vivado",
+        "rootfs"}
 
 
 def test_unknown_key_rejected_with_path(fixture_tree):

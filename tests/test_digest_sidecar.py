@@ -434,11 +434,11 @@ def test_image_rebuild_after_a_touch_lists_no_dependency_archive(
     opens, racy_opens = [], []
     real_open = bp.open_package
 
-    def open_package(path, emitter=""):
+    def open_package(path):
         opens.append(Path(path))
         if racy(Path(path)):
             racy_opens.append(Path(path))
-        return real_open(path, emitter)
+        return real_open(path)
 
     monkeypatch.setattr(bp, "open_package", open_package)
     listed.clear()

@@ -10,21 +10,18 @@ import pytest
 
 from socks import environment
 from socks.environment import (CONTAINER_MOUNT, HOST_TOOLS,
-                               EnvironmentManager, execute_host,
-                               make_env_spec)
+                               EnvironmentManager, execute_host)
 from socks.errors import EnvironmentError_, ProcessError
 
 
 def host_env(tmp_path: Path, threads: int = 2) -> EnvironmentManager:
-    spec = make_env_spec(image="socks-mock-builder", tag="socks",
-                         container_tool="disabled", project_dir=tmp_path)
-    return EnvironmentManager(spec, threads)
+    return EnvironmentManager("socks-mock-builder", "socks", "disabled",
+                              tmp_path, threads)
 
 
 def container_env(tmp_path: Path) -> EnvironmentManager:
-    spec = make_env_spec(image="socks-mock-builder", tag="socks",
-                         container_tool="docker", project_dir=tmp_path)
-    return EnvironmentManager(spec, 2)
+    return EnvironmentManager("socks-mock-builder", "socks", "docker",
+                              tmp_path, 2)
 
 
 def test_whitelisted_host_command(tmp_path):

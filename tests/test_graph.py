@@ -10,16 +10,15 @@ from socks.errors import CycleError, GraphError
 from socks.graph import (ALL, DependencyGraph, Invocation, build_graph,
                          compute_active_set, order_for_command,
                          topological_order)
-from socks.validation import BlockSpec
 
 
-def spec(block_id: str, deps: dict[str, str] | None = None) -> BlockSpec:
-    deps = deps or {}
-    return BlockSpec(block_id=block_id, builder_name="Script_Builder",
-                     dependencies=deps)
+def spec(block_id: str, deps: dict[str, str] | None = None) -> dict[str, str]:
+    """The dependencies mapping of block ``block_id``, as ``build_graph``
+    takes it."""
+    return deps or {}
 
 
-def chain_specs(ids: list[str]) -> dict[str, BlockSpec]:
+def chain_specs(ids: list[str]) -> dict[str, dict[str, str]]:
     out = {}
     prev = None
     for block_id in ids:

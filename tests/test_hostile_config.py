@@ -162,12 +162,27 @@ def test_a_chain_of_1500_blocks(project_dir, closed):
     result = run_socks_capped(["--show-config"], project_dir)
     assert "Traceback" not in result.stderr
     if closed:
-        assert result.returncode == 1, result.stderr
-        assert "dependency cycle: " + " -> ".join(names + names[:1]) \
-            in result.stderr
+        # c0001's entry for c0000, on line 9, closes c0000 -> c0001.
+        assert_fails_with(
+            result, "dependency cycle: " + " -> ".join(names + names[:1]),
+            f"{project_dir / 'chain.yml'}:9")
     else:
         assert result.returncode == 0, result.stderr
         assert "  c1499:" in result.stdout
+
+
+def test_an_unsatisfiable_dependency_names_its_line(project_dir):
+    (project_dir / "ghost.yml").write_text(
+        "blocks:\n  ghost:\n    builder: Script_Builder\n"
+        "    container: {image: x}\n    project:\n      dependencies:\n"
+        "        gone: temp/gone/output/bp_gone_*.tar.gz\n")
+    config = project_dir / "socks.yml"
+    config.write_text(config.read_text().replace(
+        "import:\n", "import:\n  - ghost.yml\n"))
+    result = run_socks_capped(["--show-config"], project_dir)
+    assert_fails_with(result, "block 'ghost' depends on 'gone', which is "
+                      "neither a configured block nor an importable package",
+                      f"{project_dir / 'ghost.yml'}:7")
 
 
 # Hostile configurations: the fixture's socks.yml imported by a file that

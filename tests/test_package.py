@@ -70,7 +70,6 @@ def test_round_trip(tmp_path):
     opened = bp.open_package(pkg.path)
     assert opened.entries == ("a.txt", "b/c.txt")
     assert opened.digest == pkg.digest
-    assert opened.emitter == "demo"
 
 
 def test_canonical_digest_matches_independent_oracle(tmp_path):
@@ -138,18 +137,17 @@ def test_resolve_file_url(tmp_path):
     assert fetched.read_bytes() == pkg.path.read_bytes()
 
 
-def test_content_rules_required_and_optional(tmp_path):
+def test_content_rules_required(tmp_path):
     pkg = bp.create_package("demo", tmp_path / "out", stage_files(tmp_path),
                             stamp=FIXED_STAMP)
-    ok = bp.ContentRule(emitter="demo", required_globs=("*.txt", "b/*"),
-                        optional_globs=("missing-*",))
+    ok = ["*.txt", "b/*"]
     assert bp.validate_contents(pkg, ok) == []
-    bp.require_contents(pkg, ok)
+    bp.require_contents(pkg, "demo", ok)
 
-    bad = bp.ContentRule(emitter="demo", required_globs=("*.xsa",))
+    bad = ["*.xsa"]
     assert bp.validate_contents(pkg, bad) == ["*.xsa"]
     with pytest.raises(ContentRuleViolation) as exc:
-        bp.require_contents(pkg, bad)
+        bp.require_contents(pkg, "demo", bad)
     assert exc.value.violations == ["*.xsa"]
     assert "demo" in str(exc.value)
 
@@ -161,8 +159,7 @@ def test_validation_is_monotone(tmp_path):
     globs = ("a.txt", "*.txt", "b/c.txt", "*.xsa", "nope")
     for size in range(len(globs) + 1):
         subset = globs[:size]
-        violations = bp.validate_contents(
-            pkg, bp.ContentRule("demo", required_globs=subset))
+        violations = bp.validate_contents(pkg, list(subset))
         assert set(violations) <= {"*.xsa", "nope"}
         assert violations == [g for g in subset if g in ("*.xsa", "nope")]
 
@@ -170,8 +167,7 @@ def test_validation_is_monotone(tmp_path):
 def test_basename_matching(tmp_path):
     pkg = bp.create_package("demo", tmp_path / "out", stage_files(tmp_path),
                             stamp=FIXED_STAMP)
-    rule = bp.ContentRule("demo", required_globs=("c.txt",))
-    assert bp.validate_contents(pkg, rule) == []
+    assert bp.validate_contents(pkg, ["c.txt"]) == []
 
 
 def test_import_extracts_once_per_digest(tmp_path):
@@ -483,7 +479,7 @@ def test_open_reads_only_the_head(tmp_path):
     with pytest.raises(PackageError, match="corrupt"):
         opened.entries
     with pytest.raises(PackageError):
-        bp.require_contents(opened, bp.ContentRule("demo", ("*.xsa",)))
+        bp.require_contents(opened, "demo", ["*.xsa"])
 
 
 def test_interrupt_with_chunks_in_flight_publishes_nothing(tmp_path,

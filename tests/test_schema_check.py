@@ -172,8 +172,8 @@ def test_defaults_not_shared_between_blocks(project_dir):
     assert text.count(ramfs_steps) == 1
     config.write_text(text.replace(ramfs_steps, ""), encoding="utf-8")
     project = Project.load(project_dir / MAIN)
-    image = project.specs["image"].builder_specific
-    ramfs = project.specs["ramfs"].builder_specific
+    image = project.builders["image"].settings
+    ramfs = project.builders["ramfs"].settings
     assert image["steps"] == ramfs["steps"] == []
     image["steps"].append("echo mutated")
     image["emits"]["required"].append("*.img")
@@ -181,7 +181,7 @@ def test_defaults_not_shared_between_blocks(project_dir):
     assert ramfs["emits"] == {"required": [], "optional": []}
     assert ScriptProjectModel.steps == []
     reloaded = Project.load(project_dir / MAIN)
-    assert reloaded.specs["image"].builder_specific["steps"] == []
+    assert reloaded.builders["image"].settings["steps"] == []
 
 
 # Modules that neither the import of the CLI nor --show-config needs.

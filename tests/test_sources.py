@@ -13,7 +13,7 @@ import pytest
 from helpers import tree_digest
 from socks import sources
 from socks.errors import SourceError
-from socks.fixture import create_kernel_origin
+from socks.fixture import create_kernel_origin, fixture_source
 from socks.sources import (SourceRef, apply_config_snippets, apply_patches,
                            create_config_snippet, create_patches_from_commits,
                            parse_kconfig_lines, sync_source)
@@ -161,6 +161,22 @@ def test_apply_patches_idempotent_via_event_log(ref, tmp_path, origin,
     assert apply_patches(ref, patches, ".config") == []
     ams = [argv for _, argv in recorder.calls if "am" in argv]
     assert ams == []
+
+
+def test_apply_patches_starts_no_git_maintenance(ref, tmp_path, monkeypatch):
+    """git am starts ``git maintenance run --auto`` after each patch unless
+    maintenance.auto is off; the child is git's, so only git's own trace
+    shows it."""
+    sync_source(ref)
+    trace = tmp_path / "trace2.json"
+    monkeypatch.setenv("GIT_TRACE2_EVENT", str(trace))
+    patch = fixture_source() / "src" / "kernel" / "0001-add-mock-driver.patch"
+    assert apply_patches(ref, [patch], ".config") == [patch.name]
+    events = [json.loads(line) for line in trace.read_text().splitlines()]
+    children = [event["argv"] for event in events
+                if event["event"] == "child_start"]
+    assert ["git", "mailsplit"] in [argv[:2] for argv in children]
+    assert not [argv for argv in children if "maintenance" in argv]
 
 
 def test_apply_patches_refuses_unstaged_changes(ref, tmp_path, origin):

@@ -72,7 +72,8 @@ def test_fixture_project_loads_alike(tmp_path):
     for base_name in BASES:
         with parsing_with(base_name):
             project = Project.load(config)
-        loaded[base_name] = (project.context.section_texts,
+        loaded[base_name] = ({block_id: builder.section_text for
+                              block_id, builder in project.builders.items()},
                              project.rendered_config())
     assert loaded["libyaml"] == loaded["python"]
 
