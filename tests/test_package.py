@@ -323,8 +323,14 @@ def chunked_gzip_reference(data: bytes, store: bool = True) -> bytes:
 
 
 def member_bytes(size: int, seed: int, layout: str) -> bytes:
-    """``size`` bytes laid out as random, zeros or text: a deflate probe
-    finds random bytes incompressible, and the others compressible."""
+    """``size`` bytes laid out as random, zeros, padding or text: a deflate
+    probe finds random bytes incompressible, and the others compressible.
+
+    Padding is runs of 0x00 and 0xFF longer than a chunk, each followed by
+    one other byte, as in the free space of a file-system image and the
+    padding of a flash image.  The seed also sets the length of the first
+    run, ``CHUNK + seed % CHUNK``, so an example can end a chunk of the
+    archive on the byte after it."""
     rng = random.Random(seed)
     half = size // 2
     if layout == "random":
@@ -333,6 +339,13 @@ def member_bytes(size: int, seed: int, layout: str) -> bytes:
         return rng.randbytes(half) + bytes(size - half)
     if layout == "zeros+random":
         return bytes(size - half) + rng.randbytes(half)
+    if layout == "padding":
+        runs = bytearray()
+        fill, length = 0x00, CHUNK + seed % CHUNK
+        while len(runs) < size:
+            runs += bytes((fill,)) * length + bytes((rng.randrange(1, 255),))
+            fill, length = fill ^ 0xFF, rng.randrange(CHUNK + 1, 3 * CHUNK)
+        return bytes(runs[:size])
     return bytes(rng.choices(b"abcdefgh \n", k=size))  # text
 
 
@@ -343,7 +356,7 @@ member_specs = st.dictionaries(
                      st.integers(0, 2 ** 32),       # content seed
                      st.booleans(),                 # executable
                      st.sampled_from(["random", "random+zeros",
-                                      "zeros+random", "text"])),
+                                      "zeros+random", "padding", "text"])),
     min_size=1, max_size=4)
 
 
@@ -354,7 +367,11 @@ member_specs = st.dictionaries(
 # archive of six random chunks; zeros, then random chunks; a second chunk
 # whose first 4 KiB are random (the member's data starts after the
 # 512-byte header) and whose rest is zeros, which is deflated for its
-# tail; and a stream of 13 records, whose last chunk is 2 KiB.
+# tail; and a stream of 13 records, whose last chunk is 2 KiB.  Then
+# padding: a first run that ends at the last byte but one of the second
+# chunk, so the third chunk is all 0xFF behind a window that ends with
+# another byte; and the same run one byte shorter, so the third chunk is
+# all 0xFF behind a window that ends with a single 0xFF.
 @example(specs={"rootfs.img": (5 * CHUNK - 1536, 0, False, "random+zeros")})
 @example(specs={"rootfs.img": (5 * CHUNK - 1024, 0, False, "random+zeros")})
 @example(specs={"rootfs.img": (5 * CHUNK, 1, False, "random")})
@@ -362,6 +379,8 @@ member_specs = st.dictionaries(
 @example(specs={"rootfs.img": (2 * (CHUNK - 512 + (4 << 10)), 3, False,
                                "random+zeros")})
 @example(specs={"rootfs.img": (13 * 10240 - 1536, 4, False, "random")})
+@example(specs={"rootfs.img": (5 * CHUNK, CHUNK - 514, False, "padding")})
+@example(specs={"rootfs.img": (5 * CHUNK, CHUNK - 513, False, "padding")})
 @settings(max_examples=25, deadline=None)
 @given(specs=member_specs)
 def test_streamed_archive_is_byte_identical_to_in_memory(tmp_path_factory,
@@ -416,20 +435,85 @@ def test_a_chunk_whose_head_is_random_is_deflated_for_its_tail():
     chunk = rng.randbytes(4 << 10) + bytes(CHUNK - (4 << 10))
     swapped = chunk[4 << 10:] + chunk[:4 << 10]
     for data in (chunk, swapped):
-        encoded = b"".join(bp._deflate(data, None, True))
+        encoded = bp._deflate(data, None, True)
         assert len(encoded) < 5 << 10
         assert zlib.decompress(encoded, -15) == data
     ends = rng.randbytes(4 << 10) + bytes(CHUNK - (8 << 10)) \
         + rng.randbytes(4 << 10)
-    encoded = b"".join(bp._deflate(ends, None, True))
+    encoded = bp._deflate(ends, None, True)
     assert len(encoded) > CHUNK
     assert zlib.decompress(encoded, -15) == ends
 
 
+def reference_chunk(chunk: bytes, window: bytes | None, last: bool) -> bytes:
+    """One chunk of ``chunked_gzip_reference``: stored when the probe of
+    both its ends fails to save 1/32, else level 9; both primed with the
+    whole window."""
+    stored = all(32 * (len(zlib.compress(end, 1)) - 6) >= 31 * len(end)
+                 for end in (chunk[:4 << 10], chunk[-(4 << 10):]))
+    level = 0 if stored else 9
+    comp = zlib.compressobj(level, zlib.DEFLATED, -15, 8, 0) \
+        if window is None \
+        else zlib.compressobj(level, zlib.DEFLATED, -15, 8, 0, zdict=window)
+    feed = 16 << 10 if stored else CHUNK
+    body = [comp.compress(chunk[i:i + feed])
+            for i in range(0, len(chunk), feed)]
+    body.append(comp.flush(zlib.Z_FINISH if last else zlib.Z_SYNC_FLUSH))
+    return b"".join(body)
+
+
+def test_run_chunks_are_the_reference_encoding():
+    """A chunk of one repeated byte is encoded as level 9 with the whole
+    window, whatever the window: none, one ending with the byte, random
+    bytes, or a run of the byte ended by another byte.  Only chunks of a
+    few bytes, which the probe stores, are not level 9."""
+    rng = random.Random(3)
+    runs = 0
+    for byte in (0x00, 0xFF, 0x41):
+        fill = bytes((byte,))
+        windows = {"none": None,
+                   "ends": rng.randbytes((32 << 10) - 1) + fill,
+                   "random": rng.randbytes(32 << 10),
+                   "run, then another byte":
+                       fill * ((32 << 10) - 1) + bytes((byte ^ 1,))}
+        for size in (1, 2, 3, 258, 259, 16385, 65536):
+            for kind, window in windows.items():
+                for last in (False, True):
+                    before = bp._run.cache_info()
+                    encoded = bp._deflate(fill * size, window, last)
+                    after = bp._run.cache_info()
+                    assert encoded == reference_chunk(
+                        fill * size, window, last), (byte, size, kind, last)
+                    runs += after.hits + after.misses \
+                        - before.hits - before.misses
+    # The run shortcut served every chunk the probe deflates behind a
+    # window that ends with its byte.
+    assert runs == 3 * 4 * 2
+
+
+def test_stored_chunks_are_the_reference_encoding():
+    """A chunk the probe stores, with or without a window, has the bytes
+    of the stored blocks primed with the whole window."""
+    rng = random.Random(4)
+    for size in (1, 4 << 10, (16 << 10) - 1, (16 << 10) + 1, 40000, CHUNK):
+        chunk = rng.randbytes(size)
+        for window in (None, rng.randbytes(32 << 10), bytes(32 << 10)):
+            for last in (False, True):
+                assert bp._deflate(chunk, window, last) == \
+                    reference_chunk(chunk, window, last), (size, last)
+
+
 def test_packaging_memory_does_not_grow_with_artifact_size(tmp_path):
+    """64 MiB of which 1 MiB is random (stored chunks), 1 MiB is text
+    (level-9 chunks) and the rest is sparse zeros (run chunks)."""
     artifact = tmp_path / "rootfs.img"
+    rng = random.Random(9)
     with open(artifact, "wb") as fh:
         fh.truncate(64 * MiB)
+        fh.seek(8 * MiB)
+        fh.write(rng.randbytes(MiB))
+        fh.seek(40 * MiB)
+        fh.write(bytes(rng.choices(b"abcdefgh \n", k=MiB)))
     tracemalloc.start()
     try:
         bp.create_package("demo", tmp_path / "out", {"rootfs.img": artifact},
@@ -480,6 +564,62 @@ def test_open_reads_only_the_head(tmp_path):
         opened.entries
     with pytest.raises(PackageError):
         bp.require_contents(opened, "demo", ["*.xsa"])
+
+
+def many_member_package(tmp_path: Path) -> tuple[bytes, int]:
+    """The bytes of a package of 40 small text members, and their count."""
+    rng = random.Random(12)
+    stage = tmp_path / "stage"
+    stage.mkdir()
+    files = {}
+    for index in range(40):
+        files[f"d/f{index:02}"] = stage / f"f{index}"
+        files[f"d/f{index:02}"].write_bytes(
+            bytes(rng.choices(b"ab", k=rng.randrange(1, 3000))))
+    pkg = bp.create_package("demo", tmp_path / "out", files,
+                            stamp=FIXED_STAMP)
+    return pkg.path.read_bytes(), len(files)
+
+
+def read_damaged(tmp_path: Path, data: bytes, tag: str) -> list:
+    """What listing and what extracting ``data`` as a package find: the
+    member names, or None where reading ended in a PackageError."""
+    damaged = tmp_path / "damaged.tar.gz"
+    damaged.write_bytes(data)
+
+    def extract(pkg):
+        bp.import_package(pkg, tmp_path / "dest")
+        return os.listdir(tmp_path / "dest" / "d")
+
+    found = []
+    for read in (lambda pkg: pkg.entries, extract):
+        try:
+            found.append(read(bp.BlockPackage(damaged, tag)))
+        except PackageError:
+            found.append(None)
+    return found
+
+
+def test_a_package_cut_anywhere_is_never_read_as_a_shorter_one(tmp_path):
+    """Packages are read in one forward pass.  Cut at any byte, a package
+    of many small members lists and extracts either all of them or none:
+    a cut that ends the decompressed bytes inside a member's header is an
+    error, not the end of the archive."""
+    whole, members = many_member_package(tmp_path)
+    for size in range(0, len(whole), 53):
+        for names in read_damaged(tmp_path, whole[:size], f"cut{size}"):
+            assert names is None or len(names) == members, size
+
+
+def test_a_corrupt_package_is_a_package_error(tmp_path):
+    """A flipped byte that breaks the deflate stream is a PackageError
+    (exit 2 naming the block), not a zlib traceback.  The gzip CRC-32 is
+    not checked, so a flip inside member data goes unseen."""
+    whole, _ = many_member_package(tmp_path)
+    for index in range(10, len(whole) - 8, 47):
+        data = bytearray(whole)
+        data[index] ^= 0x5A
+        read_damaged(tmp_path, bytes(data), f"flip{index}")
 
 
 def test_interrupt_with_chunks_in_flight_publishes_nothing(tmp_path,
