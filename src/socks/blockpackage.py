@@ -23,7 +23,7 @@ import shutil
 import struct
 import zlib
 from collections import deque
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from datetime import datetime, timezone
 from functools import cached_property, lru_cache
 from pathlib import Path
@@ -64,17 +64,8 @@ class BlockPackage:
 
     @cached_property
     def entries(self) -> tuple[str, ...]:
-        # tarfile is imported in each function that reads or writes an
-        # archive: a no-op build does neither.
-        import tarfile
-
-        try:
-            with _read_archive(self.path) as tar:
-                entries = tuple(sorted(m.name for m in tar if m.isfile()))
-        except (tarfile.TarError, OSError, EOFError) as exc:
-            raise PackageError(
-                f"corrupt or unreadable block package {self.path}: {exc}") \
-                from exc
+        with _read_archive(self.path) as tar:
+            entries = tuple(sorted(m.name for m in tar if m.isfile()))
         # A sidecar written without a listing (by a download, or by an
         # earlier version) that still vouches for these bytes gains it.
         record, trusted = _read_sidecar(self.path)
@@ -88,33 +79,76 @@ class BlockPackage:
         return entries
 
 
-class _WholeFile:
-    """A file whose end is an error.  tarfile's stream mode takes a short
-    read for the end of the archive, so a package cut short would list and
-    extract only its first members.  It reads past the file's end only
-    when the archive is cut short or its tar spans several gzip members,
-    which stream mode does not join."""
+class _Unreadable(Exception):
+    """A fault of a package's bytes or of reading them."""
 
-    def __init__(self, raw):
-        self.raw = raw
+
+class _GzipReader:
+    """The tar bytes of a package's one gzip member, whose header and, at
+    its end, CRC-32 and size (RFC 1952 section 2.3) zlib checks.  A read
+    inflates at most the bytes asked for."""
+
+    def __init__(self, path: Path):
+        try:
+            self.raw = open(path, "rb")
+        except OSError as exc:
+            raise _Unreadable(exc) from exc
+        self.gzip = zlib.decompressobj(16 + zlib.MAX_WBITS)
+
+    def close(self) -> None:
+        self.raw.close()
+
+    def inflate(self, size: int) -> bytes:
+        """None once the member has ended; only zero bytes may follow it,
+        as gzip allows."""
+        try:
+            while not self.gzip.eof:
+                data = self.gzip.unconsumed_tail or self.raw.read(CHUNK_SIZE)
+                # At the file's end zlib may still hold output.
+                out = self.gzip.decompress(data, size)
+                if out:
+                    return out
+                if not data:
+                    raise _Unreadable("file ended inside the gzip member "
+                                      "(cut short)")
+            rest = self.gzip.unused_data
+            while rest and not rest.strip(b"\0"):
+                rest = self.raw.read(CHUNK_SIZE)
+            if rest:
+                raise _Unreadable("bytes other than zeros follow the gzip "
+                                  "member")
+        except (OSError, zlib.error) as exc:
+            raise _Unreadable(exc) from exc
+        return b""
 
     def read(self, size: int) -> bytes:
-        data = self.raw.read(size)
+        # Never none: tarfile takes a short read for the end of the tar.
+        data = self.inflate(size)
         if not data:
-            raise EOFError("file ended inside the archive (cut short, or "
-                           "its tar spans several gzip members)")
+            raise _Unreadable("gzip member ended inside the archive")
         return data
 
 
 @contextmanager
-def _read_archive(path: Path, **kwargs):
-    """The tar of a package, read in one forward pass: about half the time
-    of tarfile's random-access mode over gzip's reader."""
+def _read_archive(path: Path, whole: bool = True):
+    """The tar of a package, read in one forward pass, and with ``whole``
+    the rest of its gzip member once the ``with`` block is done.  Read
+    faults are PackageErrors; the block's own, such as a full disk, are
+    not."""
+    # tarfile is imported in each function that reads or writes an
+    # archive: a no-op build does neither.
     import tarfile
 
-    with open(path, "rb") as raw, \
-            tarfile.open(path, "r|gz", _WholeFile(raw), **kwargs) as tar:
-        yield tar
+    try:
+        with closing(_GzipReader(path)) as reader, \
+                tarfile.open(path, "r|", reader, CHUNK_SIZE) as tar:
+            yield tar
+            # tarfile stops at the end of the tar, before the gzip trailer.
+            while whole and reader.inflate(CHUNK_SIZE):
+                pass
+    except (tarfile.TarError, _Unreadable) as exc:
+        raise PackageError(
+            f"corrupt or unreadable block package {path}: {exc}") from exc
 
 
 def make_stamp(now: datetime | None = None) -> str:
@@ -536,14 +570,8 @@ def open_package(path: str | Path) -> BlockPackage:
     path = Path(path)
     record, trusted = _read_sidecar(path)
     if not trusted or record["entries"] is None:
-        import tarfile
-
-        try:
-            with _read_archive(path):
-                pass
-        except (tarfile.TarError, OSError, EOFError) as exc:
-            raise PackageError(
-                f"corrupt or unreadable block package {path}: {exc}") from exc
+        with _read_archive(path, whole=False):
+            pass
     digest, entries = _digest_and_entries(path, record, trusted)
     package = BlockPackage(path=path, digest=digest)
     if entries is not None:
@@ -724,14 +752,11 @@ def import_package(pkg: BlockPackage, dest_dir: str | Path) -> dict:
     if dest_dir.is_dir() and marker.is_file() \
             and marker.read_bytes() == pkg.digest.encode():
         return {"imported": False, "digest": pkg.digest}
-    import tarfile
-
     staging = dest_dir.with_name(f".{dest_dir.name}.partial")
     try:
         shutil.rmtree(staging, ignore_errors=True)
         staging.mkdir(parents=True)
-        # 64 KiB copies take a quarter of the calls of tarfile's default.
-        with _read_archive(pkg.path, copybufsize=64 << 10) as tar:
+        with _read_archive(pkg.path) as tar:
             tar.extractall(staging, filter=_package_filter)
             # Extraction read every header: listing the members costs nothing.
             entries = tuple(sorted(m.name for m in tar.getmembers()
@@ -742,7 +767,7 @@ def import_package(pkg: BlockPackage, dest_dir: str | Path) -> dict:
         marker.write_bytes(pkg.digest.encode())
     except BaseException as exc:
         shutil.rmtree(staging, ignore_errors=True)
-        if isinstance(exc, (tarfile.TarError, OSError, EOFError)):
+        if isinstance(exc, OSError):
             raise PackageError(
                 f"extraction failed for {pkg.path}: {exc}") from exc
         raise

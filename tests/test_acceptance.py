@@ -7,9 +7,11 @@ PASS/FAIL line per criterion at the end of its test.
 from __future__ import annotations
 
 import hashlib
+import os
 import random
 import shutil
 import subprocess
+import sys
 import tarfile
 import time
 from pathlib import Path
@@ -280,6 +282,37 @@ def test_criterion_10_mode_equivalence(tmp_path, recorder, tool):
     assert len(manifest.strip().splitlines()) == 8
     if tool == "disabled":
         assert recorder.count("container-tool") == 0
+
+
+def test_container_mode_builds_through_a_stand_in_docker(
+        tmp_path, recorder, monkeypatch):
+    """The container path end to end where no daemon answers: the steps
+    run through ``docker run`` of tests/docker_standin.py, which sees the
+    project only through its ``-v`` mount, and build the image that host
+    mode builds."""
+    host_dir = materialize(tmp_path / "host")
+    assert build_all(host_dir) == 0
+    steps = recorder.count("build")
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    (bin_dir / "docker").write_text(
+        f'#!/bin/sh\nexec "{sys.executable}" '
+        f'"{Path(__file__).with_name("docker_standin.py")}" "$@"\n')
+    (bin_dir / "docker").chmod(0o755)
+    monkeypatch.setenv("PATH", f"{bin_dir}{os.pathsep}{os.environ['PATH']}")
+    project_dir = materialize(tmp_path / "docker", container_tool="docker")
+    recorder.reset()
+    daemon_problem.cache_clear()
+    try:
+        assert build_all(project_dir) == 0
+    finally:
+        daemon_problem.cache_clear()
+    assert image_manifest(project_dir) == image_manifest(host_dir)
+    # Each step ran in a container, and none on the host.
+    runs = [argv for kind, argv in recorder.calls
+            if kind == "container-tool" and argv[1] == "run"]
+    assert len(runs) == steps > 0
+    assert recorder.count("build") == 0
 
 
 @pytest.mark.criterion(11, "500 random DAGs: orders satisfy all edges, "

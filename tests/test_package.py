@@ -8,6 +8,7 @@ import hashlib
 import io
 import os
 import random
+import re
 import signal
 import struct
 import tarfile
@@ -524,6 +525,26 @@ def test_packaging_memory_does_not_grow_with_artifact_size(tmp_path):
     assert peak < 8 * MiB, f"peak {peak / MiB:.1f} MiB"
 
 
+def test_reading_memory_does_not_grow_with_member_size(tmp_path):
+    """Listing and extracting a package of 64 MiB of zeros: each read
+    inflates at most the bytes that tarfile asks for."""
+    artifact = tmp_path / "rootfs.img"
+    with open(artifact, "wb") as fh:
+        fh.truncate(64 * MiB)
+    written = bp.create_package("demo", tmp_path / "out",
+                                {"rootfs.img": artifact}, stamp=FIXED_STAMP)
+    pkg = bp.BlockPackage(written.path, written.digest)
+    tracemalloc.start()
+    try:
+        assert pkg.entries == ("rootfs.img",)
+        bp.import_package(pkg, tmp_path / "dest")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * MiB, f"peak {peak / MiB:.1f} MiB"
+    assert (tmp_path / "dest" / "rootfs.img").stat().st_size == 64 * MiB
+
+
 def failing_copy(src, dst, length=None, *args, **kwargs):
     """Stand-in for tarfile's member copy that dies partway (disk full)."""
     dst.write(src.read(16))
@@ -537,6 +558,28 @@ def test_failed_write_publishes_nothing(tmp_path, monkeypatch):
         bp.create_package("demo", out, stage_files(tmp_path),
                           stamp=FIXED_STAMP)
     assert list(out.iterdir()) == []  # neither a package nor a partial file
+
+
+def test_a_full_disk_while_extracting_is_not_a_corrupt_package(
+        tmp_path, monkeypatch):
+    """ENOSPC while members are written is a fault of the extraction, not
+    of the package: its error says so, no staging directory is left, and
+    the previous extraction stays."""
+    files = stage_files(tmp_path)
+    old = bp.create_package("demo", tmp_path / "out", files, stamp=FIXED_STAMP)
+    dest = tmp_path / "deps" / "demo"
+    bp.import_package(old, dest)
+    files["a.txt"].write_bytes(b"alpha, again\n")
+    new = bp.create_package("demo", tmp_path / "out", files,
+                            stamp="20260101T000001Z")
+    monkeypatch.setattr(tarfile, "copyfileobj", failing_copy)
+    with pytest.raises(PackageError,
+                       match=f"^extraction failed for "
+                             f"{re.escape(str(new.path))}: .*No space left"):
+        bp.import_package(new, dest)
+    assert sorted(os.listdir(dest.parent)) == [".demo.digest", "demo"]
+    assert (dest / "a.txt").read_bytes() == b"alpha\n"
+    assert (dest.parent / ".demo.digest").read_text() == old.digest
 
 
 def test_stale_partial_files_of_the_block_are_removed(tmp_path):
@@ -583,13 +626,15 @@ def many_member_package(tmp_path: Path) -> tuple[bytes, int]:
 
 def read_damaged(tmp_path: Path, data: bytes, tag: str) -> list:
     """What listing and what extracting ``data`` as a package find: the
-    member names, or None where reading ended in a PackageError."""
+    member names, and each extracted member's bytes by name, or None where
+    reading ended in a PackageError."""
     damaged = tmp_path / "damaged.tar.gz"
     damaged.write_bytes(data)
 
     def extract(pkg):
         bp.import_package(pkg, tmp_path / "dest")
-        return os.listdir(tmp_path / "dest" / "d")
+        return {f"d/{path.name}": path.read_bytes()
+                for path in (tmp_path / "dest" / "d").iterdir()}
 
     found = []
     for read in (lambda pkg: pkg.entries, extract):
@@ -611,15 +656,54 @@ def test_a_package_cut_anywhere_is_never_read_as_a_shorter_one(tmp_path):
             assert names is None or len(names) == members, size
 
 
+def members_of(whole: bytes) -> dict[str, bytes]:
+    """The regular-file members of a package's bytes, read by gzip and
+    tarfile's random-access mode."""
+    with tarfile.open(fileobj=io.BytesIO(gzip.decompress(whole))) as tar:
+        return {m.name: tar.extractfile(m).read() for m in tar if m.isfile()}
+
+
 def test_a_corrupt_package_is_a_package_error(tmp_path):
-    """A flipped byte that breaks the deflate stream is a PackageError
-    (exit 2 naming the block), not a zlib traceback.  The gzip CRC-32 is
-    not checked, so a flip inside member data goes unseen."""
+    """A byte flipped anywhere past the gzip header is a PackageError from
+    listing and from extracting (exit 2 naming the block, not a zlib
+    traceback), unless every member still reads with its own bytes: zlib
+    checks the CRC-32 and size of the gzip trailer."""
     whole, _ = many_member_package(tmp_path)
-    for index in range(10, len(whole) - 8, 47):
+    members = members_of(whole)
+    intact = [tuple(sorted(members)), members]
+    for index in range(10, len(whole), 47):
         data = bytearray(whole)
         data[index] ^= 0x5A
-        read_damaged(tmp_path, bytes(data), f"flip{index}")
+        found = read_damaged(tmp_path, bytes(data), f"flip{index}")
+        assert found in ([None, None], intact), index
+
+
+def flip(data: bytes, index: int) -> bytes:
+    return data[:index] + bytes((data[index] ^ 1,)) + data[index + 1:]
+
+
+AFTER_THE_TRAILER = {
+    "zero padding": lambda whole: whole + bytes(4096),
+    "cut trailer": lambda whole: whole[:-4],
+    "flipped CRC": lambda whole: flip(whole, len(whole) - 8),
+    "flipped size": lambda whole: flip(whole, len(whole) - 4),
+    "second gzip member": lambda whole: whole + gzip.compress(b"more"),
+    "non-zero bytes": lambda whole: whole + bytes(512) + b"junk",
+}
+
+
+@pytest.mark.parametrize("case", AFTER_THE_TRAILER)
+def test_a_package_ends_with_its_checked_gzip_trailer(tmp_path, case):
+    """Listing and extracting read on to the end of the gzip member, whose
+    CRC-32 and size must match; after it, only zero bytes may follow, as
+    gzip allows (an in-place rewrite pads a shorter package with them)."""
+    whole, _ = many_member_package(tmp_path)
+    members = members_of(whole)
+    found = read_damaged(tmp_path, AFTER_THE_TRAILER[case](whole), case)
+    if case == "zero padding":
+        assert found == [tuple(sorted(members)), members]
+    else:
+        assert found == [None, None]
 
 
 def test_interrupt_with_chunks_in_flight_publishes_nothing(tmp_path,
