@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING
 from urllib.parse import unquote, urlparse
 
 from .errors import ContentRuleViolation, PackageError
-from .incremental import write_json
+from .incremental import replacing, write_json
 
 if TYPE_CHECKING:
     import tarfile
@@ -503,34 +503,29 @@ def create_package(block_id: str, output_dir: str | Path,
     stamp = stamp or make_stamp()
     archive_path = output_dir / f"bp_{block_id}_{stamp}.tar.gz"
 
-    # Written under a name no package glob matches and published with one
-    # rename, so an interrupted write never leaves a truncated package that
-    # the timestamp check would trust.
-    partial = output_dir / f".{archive_path.name}.partial"
     # Partial files of this block left by a killed run.
     stale = re.compile(
         rf"\.bp_{re.escape(block_id)}_[0-9TZ:-]+\.tar\.gz\.partial")
     for leftover in output_dir.glob(f".bp_{block_id}_*.partial"):
         if stale.fullmatch(leftover.name):
             leftover.unlink(missing_ok=True)
+    # Written under a name no package glob matches and published with one
+    # rename, so an interrupted write never leaves a truncated package that
+    # the timestamp check would trust.
     try:
-        with open(partial, "wb") as raw:
+        with replacing(archive_path) as partial, open(partial, "wb") as raw:
             sink = _HashingWriter(raw)
             with _ChunkedGzipWriter(sink, workers) as gz, \
                     tarfile.open(fileobj=gz, mode="w",
                                  copybufsize=CHUNK_SIZE) as tar:
                 for name, src in items:
                     _add_member(tar, block_id, name, Path(src))
-        os.replace(partial, archive_path)
         digest = sink.sha.hexdigest()
         entries = tuple(name for name, _ in items)
         record_digest(archive_path, digest, entries=entries)
-    except BaseException as exc:
-        partial.unlink(missing_ok=True)
-        if isinstance(exc, OSError):
-            raise PackageError(
-                f"cannot write block package {archive_path}: {exc}") from exc
-        raise
+    except OSError as exc:
+        raise PackageError(
+            f"cannot write block package {archive_path}: {exc}") from exc
 
     package = BlockPackage(path=archive_path, digest=digest)
     # The writer knows the listing: seed the cached property.

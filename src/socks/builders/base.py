@@ -34,19 +34,19 @@ from .. import blockpackage as bp
 from ..configtree import ConfigTree, render_effective_config
 from ..environment import EnvironmentManager
 from ..errors import BuilderError
-from ..incremental import BuildRecord, needs_rebuild
+from ..incremental import BuildRecord, needs_rebuild, replacing
 from ..registry import BuilderDescriptor, CommandDescriptor
 from ..validation import GeneralSettings
 
 
 class StageReport:
     def __init__(self, block_id: str, verb: str, skipped: bool = False,
-                 duration: float = 0.0, artifacts: list[str] | None = None,
+                 artifacts: list[str] | None = None,
                  reasons: list[str] | None = None, exit_status: int = 0):
         self.block_id = block_id
         self.verb = verb
         self.skipped = skipped
-        self.duration = duration
+        self.duration = 0.0  # set by ``Builder.apply``
         self.artifacts = [] if artifacts is None else artifacts
         self.reasons = [] if reasons is None else reasons
         self.exit_status = exit_status
@@ -61,7 +61,9 @@ class Builder:
     keys are read by subscript.  ``tree`` is the processed configuration
     and ``project_dir`` the folder of the main configuration file.
     ``section_text`` renders the block's section as configured, without
-    the defaults: a change of it rebuilds the block.
+    the defaults: a change of it rebuilds the block.  The block's folders
+    (see above) and its environment ``env`` are fixed at construction,
+    which writes nothing.
     """
 
     def __init__(self, *, descriptor: BuilderDescriptor, block_id: str,
@@ -76,44 +78,18 @@ class Builder:
         self.project_dir = Path(project_dir)
         self.section_text = render_effective_config(
             tree.get(f"blocks/{block_id}"))
-
-    # -- layout ----------------------------------------------------------
-
-    @property
-    def work_dir(self) -> Path:
-        return self.project_dir / "temp" / self.block_id
-
-    @property
-    def output_dir(self) -> Path:
-        return self.work_dir / "output"
-
-    @property
-    def stage_dir(self) -> Path:
-        return self.work_dir / "stage"
-
-    @property
-    def deps_dir(self) -> Path:
-        return self.work_dir / "deps"
-
-    @property
-    def imports_dir(self) -> Path:
-        return self.work_dir / "imports"
-
-    @property
-    def record_path(self) -> Path:
-        return self.work_dir / "build.json"
-
-    @property
-    def env(self) -> EnvironmentManager:
-        container = self.section["container"]
-        return EnvironmentManager(
-            container["image"], container["tag"], self.general.container_tool,
-            self.project_dir, self.general.effective_threads())
-
-    @property
-    def credentials(self) -> dict:
-        """Per-host credentials for fetching URLs (``credentials`` key)."""
-        return self.tree.get("credentials", {})
+        self.work_dir = self.project_dir / "temp" / block_id
+        self.output_dir = self.work_dir / "output"
+        self.stage_dir = self.work_dir / "stage"
+        self.deps_dir = self.work_dir / "deps"
+        self.imports_dir = self.work_dir / "imports"
+        self.record_path = self.work_dir / "build.json"
+        # Per-host credentials for fetching URLs.
+        self.credentials = tree.get("credentials", {})
+        container = section["container"]
+        self.env = EnvironmentManager(
+            container["image"], container["tag"], general.container_tool,
+            self.project_dir, general.effective_threads())
 
     # -- command dispatch --------------------------------------------------
 
@@ -127,8 +103,7 @@ class Builder:
         start = time.monotonic()
         with self.failure(f"cannot {verb}"):
             report = method()
-        if report.duration == 0.0:
-            report.duration = time.monotonic() - start
+        report.duration = time.monotonic() - start
         return report
 
     @contextmanager
@@ -218,10 +193,13 @@ class Builder:
                 self.output_dir.mkdir(parents=True, exist_ok=True)
                 if archive.resolve() != published.resolve():
                     # The copy may replace the recorded package under its
-                    # own name: the record goes first, so an interrupted
-                    # copy is never trusted.
+                    # own name: the record goes first, so a package whose
+                    # record was never written is never trusted.  The copy
+                    # is published by rename, so an interrupted one leaves
+                    # the package it replaces as it was.
                     self.record_path.unlink(missing_ok=True)
-                    shutil.copy2(archive, published)
+                    with replacing(published) as partial:
+                        shutil.copy2(archive, partial)
                     # Consumers read the copy's digest and listing instead
                     # of reading the copy.
                     bp.record_digest(published, package.digest,

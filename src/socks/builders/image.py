@@ -8,8 +8,6 @@ consumed package changes the manifest.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from ..registry import BuilderDescriptor
 from .script import SCRIPT_COMMANDS, ScriptBuilder, ScriptProjectModel
 
@@ -29,21 +27,13 @@ class ImageProjectModel(ScriptProjectModel):
 class ImageBuilder(ScriptBuilder):
     """Script builder that writes the manifest of its dependencies."""
 
-    IMAGE_FILE = "boot.img"
-
-    def stage_extras(self, packages) -> None:
+    def generated(self, packages) -> dict[str, str]:
         lines = []
         for dep_id in sorted(packages):
             pkg = packages[dep_id]
             files = ",".join(sorted(pkg.entries))
-            lines.append(f"block={dep_id} digest={pkg.digest} files={files}")
-        (self.stage_dir / self.IMAGE_FILE).write_text(
-            "".join(line + "\n" for line in lines), encoding="utf-8")
-
-    def collect_outputs(self) -> dict[str, Path]:
-        files = super().collect_outputs()
-        files[self.IMAGE_FILE] = self.stage_dir / self.IMAGE_FILE
-        return files
+            lines.append(f"block={dep_id} digest={pkg.digest} files={files}\n")
+        return {"boot.img": "".join(lines)}
 
 
 IMAGE_DESCRIPTOR = BuilderDescriptor(

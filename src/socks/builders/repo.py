@@ -8,10 +8,12 @@ project as new patch and snippet files.
 
 from __future__ import annotations
 
+import shutil
 from functools import partial
 from pathlib import Path
 
 from ..errors import BuilderError
+from ..incremental import replacing
 from ..registry import BuilderDescriptor, CommandDescriptor
 from ..sources import (SourceRef, apply_config_snippets, apply_patches,
                        create_config_snippet, create_patches_from_commits,
@@ -36,22 +38,13 @@ class RepoProjectModel(ScriptProjectModel):
 class RepoScriptBuilder(ScriptBuilder):
     """Script builder with git sources, patch series, and config snippets."""
 
-    @property
-    def checkout_dir(self) -> Path:
-        return self.work_dir / "src"
-
-    @property
-    def files_dir(self) -> Path:
-        """Project source files of this block (patches, snippets)."""
-        return self.project_dir / "src" / self.block_id
-
-    @property
-    def kconfig_path(self) -> Path:
-        return self.checkout_dir / self.settings["kconfig_file"]
-
-    @property
-    def kconfig_baseline(self) -> Path:
-        return self.work_dir / "kconfig.last"
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.checkout_dir = self.work_dir / "src"
+        # Project source files of this block (patches, snippets).
+        self.files_dir = self.project_dir / "src" / self.block_id
+        self.kconfig_path = self.checkout_dir / self.settings["kconfig_file"]
+        self.kconfig_baseline = self.work_dir / "kconfig.last"
 
     def source_ref(self) -> SourceRef:
         srcs = self.settings["build_srcs"]
@@ -75,8 +68,8 @@ class RepoScriptBuilder(ScriptBuilder):
     def source_paths(self) -> list[Path]:
         return super().source_paths() + [self.checkout_dir, self.files_dir]
 
-    def step_env(self, packages) -> dict[str, str]:
-        env = super().step_env(packages)
+    def step_env(self) -> dict[str, str]:
+        env = super().step_env()
         env["SOCKS_SRC_DIR"] = self.env.translate_path(self.checkout_dir)
         return env
 
@@ -87,7 +80,13 @@ class RepoScriptBuilder(ScriptBuilder):
         apply_patches(ref, self.patch_files(), self.settings["kconfig_file"])
         apply_config_snippets(self.kconfig_path, self.snippet_files())
         if self.kconfig_path.exists():
-            self.kconfig_baseline.write_bytes(self.kconfig_path.read_bytes())
+            self.save_kconfig_baseline()
+
+    def save_kconfig_baseline(self) -> None:
+        """Copy ``.config`` to the baseline that ``create-cfg-snippet``
+        compares with, by rename."""
+        with replacing(self.kconfig_baseline) as new:
+            shutil.copyfile(self.kconfig_path, new)
 
     # -- configuring commands ------------------------------------------------
 
@@ -125,7 +124,7 @@ class RepoScriptBuilder(ScriptBuilder):
         if not changed:
             return StageReport(self.block_id, "create-cfg-snippet",
                                skipped=True, reasons=["no config changes"])
-        self.kconfig_baseline.write_bytes(self.kconfig_path.read_bytes())
+        self.save_kconfig_baseline()
         return StageReport(self.block_id, "create-cfg-snippet",
                            artifacts=[name])
 

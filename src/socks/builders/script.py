@@ -42,12 +42,21 @@ class RootfsProjectModel(ScriptProjectModel):
 
 
 class ScriptBuilder(Builder):
-    """Runs configured shell steps in the block's environment."""
+    """Runs configured shell steps in the block's environment; variants
+    override the hooks below, and ``cmd_build`` runs them in order."""
 
     def source_paths(self) -> list[Path]:
         return [self.project_dir / p for p in self.settings["inputs"]]
 
-    def step_env(self, packages) -> dict[str, str]:
+    def fetched_inputs(self) -> dict[str, str]:
+        """Hook for variants that fetch more inputs: their digests, keyed
+        with a '/', which no block id holds."""
+        return {}
+
+    def sync_sources(self) -> None:
+        """Hook for variants that fetch general source files."""
+
+    def step_env(self) -> dict[str, str]:
         env = self.env
         return {
             "SOCKS_BLOCK_ID": self.block_id,
@@ -57,39 +66,9 @@ class ScriptBuilder(Builder):
             "SOCKS_DEPS_DIR": env.translate_path(self.deps_dir),
         }
 
-    def prepare_workspace(self, packages) -> None:
-        if self.stage_dir.exists():
-            shutil.rmtree(self.stage_dir)
-        self.stage_dir.mkdir(parents=True, exist_ok=True)
-        # Only steps read the extracted packages.
-        self.import_dependencies(packages,
-                                 extract=bool(self.settings["steps"]))
-
-    def run_steps(self, packages) -> None:
-        env = self.step_env(packages)
-        for step in self.settings["steps"]:
-            self.env.run(step, workdir=self.work_dir, env=env)
-
-    def collect_outputs(self) -> dict[str, Path]:
-        files: dict[str, Path] = {}
-        for declared in self.settings["outputs"]:
-            path = self.stage_dir / declared
-            if not path.is_file():
-                raise BuilderError(
-                    f"block '{self.block_id}' declared output '{declared}' "
-                    f"but the build steps did not produce it")
-            files[declared] = path
-        return files
-
-    def stage_extras(self, packages) -> None:
-        """Hook for variants that add artifacts beyond the shell steps."""
-
-    def sync_sources(self) -> None:
-        """Hook for variants that fetch general source files."""
-
-    def fetched_inputs(self) -> dict[str, str]:
-        """Hook for variants that fetch more inputs: their digests, keyed
-        with a '/', which no block id holds."""
+    def generated(self, packages) -> dict[str, str]:
+        """Hook for variants that add artifacts beyond the shell steps: the
+        text of each by name, written into ``stage/`` after the steps."""
         return {}
 
     def cmd_build(self) -> StageReport:
@@ -114,12 +93,28 @@ class ScriptBuilder(Builder):
             self.env.ensure_image()
             self.work_dir.mkdir(parents=True, exist_ok=True)
             self.sync_sources()
-            self.prepare_workspace(packages)
-            self.run_steps(packages)
-            self.stage_extras(packages)
+            if self.stage_dir.exists():
+                shutil.rmtree(self.stage_dir)
+            self.stage_dir.mkdir()
+            steps = self.settings["steps"]
+            # Only steps read the extracted packages.
+            self.import_dependencies(packages, extract=bool(steps))
+            env = self.step_env()
+            for step in steps:
+                self.env.run(step, workdir=self.work_dir, env=env)
+            generated = self.generated(packages)
+            for name, text in generated.items():
+                (self.stage_dir / name).write_text(text, encoding="utf-8")
+            files = {name: self.stage_dir / name
+                     for name in [*self.settings["outputs"], *generated]}
+            for name in self.settings["outputs"]:
+                if not files[name].is_file():
+                    raise BuilderError(
+                        f"block '{self.block_id}' declared output '{name}' "
+                        f"but the build steps did not produce it")
             with self.failure("cannot package its artifacts"):
                 return bp.create_package(
-                    self.block_id, self.output_dir, self.collect_outputs(),
+                    self.block_id, self.output_dir, files,
                     workers=self.general.effective_threads()).path.name
 
         return self.build(sources=sources, inputs=inputs, publish=publish)
@@ -133,14 +128,9 @@ class ScriptBuilder(Builder):
 class RootfsBuilder(ScriptBuilder):
     """Script builder that records injected user packages in the artifact."""
 
-    PACKAGES_FILE = "packages.txt"
-
-    def extra_package_refs(self) -> list[str]:
-        return self.settings["extra_packages"]
-
     def source_paths(self) -> list[Path]:
         return super().source_paths() + [
-            self.project_dir / ref for ref in self.extra_package_refs()
+            self.project_dir / ref for ref in self.settings["extra_packages"]
             if not bp.is_url(ref)]
 
     def fetched_inputs(self) -> dict[str, str]:
@@ -150,24 +140,18 @@ class RootfsBuilder(ScriptBuilder):
         with self.failure("cannot fetch an extra package"):
             self.fetched = {
                 ref: bp._download(ref, self.imports_dir, self.credentials)
-                for ref in self.extra_package_refs() if bp.is_url(ref)}
+                for ref in self.settings["extra_packages"] if bp.is_url(ref)}
         return {f"extra_packages/{ref}": bp.file_digest(path)
                 for ref, path in self.fetched.items()}
 
-    def stage_extras(self, packages) -> None:
+    def generated(self, packages) -> dict[str, str]:
         lines = []
-        for ref in self.extra_package_refs():
+        for ref in self.settings["extra_packages"]:
             payload = self.fetched.get(ref) or self.project_dir / ref
             if not payload.is_file():
                 raise BuilderError(f"extra package not found: {ref!r}")
-            lines.append(f"{payload.name} sha256={bp.file_digest(payload)}")
-        (self.stage_dir / self.PACKAGES_FILE).write_text(
-            "".join(line + "\n" for line in lines), encoding="utf-8")
-
-    def collect_outputs(self) -> dict[str, Path]:
-        files = super().collect_outputs()
-        files[self.PACKAGES_FILE] = self.stage_dir / self.PACKAGES_FILE
-        return files
+            lines.append(f"{payload.name} sha256={bp.file_digest(payload)}\n")
+        return {"packages.txt": "".join(lines)}
 
 
 SCRIPT_COMMANDS = (PREPARE, BUILD, CLEAN, START_CONTAINER)

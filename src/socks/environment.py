@@ -122,6 +122,11 @@ def daemon_problem(tool: str) -> str | None:
         result.stderr.strip() or f"'{tool} info' exited {result.returncode}")
 
 
+# The images found or built in this process, as (tool, image:tag): each is
+# inspected once per ``socks`` run.  A failure is not remembered.
+ready_images: set[tuple[str, str]] = set()
+
+
 class EnvironmentManager:
     """Image lifecycle plus command execution for one block's environment:
     the container image ``image:tag`` of ``tool`` (docker or podman), or
@@ -135,17 +140,15 @@ class EnvironmentManager:
         self.project_dir = Path(project_dir)
         self.max_threads = max_threads
 
-    def _image_exists(self) -> bool:
-        result = _run([self.tool, "image", "inspect", self.image_ref],
-                      kind="container-tool", check=False)
-        return result.ok
-
     def ensure_image(self) -> dict:
         """Build the image from its bundled definition unless it already
-        exists in the container tool's store (shared across projects)."""
+        exists in the container tool's store (shared across projects).
+        Asked once per image and process: an image removed later in the
+        run fails at ``<tool> run``."""
         import fcntl
 
-        if self.tool == "disabled":
+        key = (self.tool, self.image_ref)
+        if self.tool == "disabled" or key in ready_images:
             return {"built": False}
         problem = daemon_problem(self.tool)
         if problem:
@@ -157,13 +160,15 @@ class EnvironmentManager:
         lock_path = lock_dir / f"image-{self.image}.lock"
         with open(lock_path, "w") as lock_fh:
             fcntl.flock(lock_fh, fcntl.LOCK_EX)
-            if self._image_exists():
-                return {"built": False}
-            log.info("building container image %s", self.image_ref)
-            _run([self.tool, "build", "-t", self.image_ref,
-                  "-f", str(containerfile), str(containerfile.parent)],
-                 kind="container-tool")
-        return {"built": True}
+            built = not _run([self.tool, "image", "inspect", self.image_ref],
+                             kind="container-tool", check=False).ok
+            if built:
+                log.info("building container image %s", self.image_ref)
+                _run([self.tool, "build", "-t", self.image_ref,
+                      "-f", str(containerfile), str(containerfile.parent)],
+                     kind="container-tool")
+        ready_images.add(key)
+        return {"built": built}
 
     def _container_path(self, host_path: Path) -> str:
         rel = Path(host_path).resolve().relative_to(

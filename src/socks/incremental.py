@@ -14,8 +14,9 @@ import logging
 import os
 import stat
 import time
+from contextlib import contextmanager
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import IncrementalStateError
 
@@ -131,17 +132,31 @@ class BuildRecord(NamedTuple):
         write_json(path, self._asdict())
 
 
-def write_json(path: str | Path, data) -> None:
-    """Write ``data`` as JSON whole or not at all (temp file + rename)."""
+def partial_path(path: str | Path) -> Path:
+    """The hidden file beside ``path`` that ``replacing`` writes."""
     path = Path(path)
-    partial = path.with_name(f".{path.name}.partial")
+    return path.with_name(f".{path.name}.partial")
+
+
+@contextmanager
+def replacing(path: str | Path) -> Iterator[Path]:
+    """The hidden partial file to write ``path``'s new content to; renamed
+    onto ``path`` when the block ends, deleted when it raises.  So ``path``
+    holds its old bytes or its new ones, never a mix."""
+    partial = partial_path(path)
     try:
-        partial.write_text(json.dumps(data, indent=1, sort_keys=True),
-                           encoding="utf-8")
+        yield partial
         os.replace(partial, path)
     except BaseException:
         partial.unlink(missing_ok=True)
         raise
+
+
+def write_json(path: str | Path, data) -> None:
+    """Write ``data`` as JSON whole or not at all."""
+    with replacing(path) as partial:
+        partial.write_text(json.dumps(data, indent=1, sort_keys=True),
+                           encoding="utf-8")
 
 
 class RebuildDecision:

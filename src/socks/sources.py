@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 
 from .environment import execute_host
 from .errors import ProcessError, SourceError
-from .incremental import write_json
+from .incremental import partial_path, replacing, write_json
 
 # Given the names of new files, checks the configuration edit that lists
 # them and returns the function that writes it (``plan_list_append``).
@@ -153,7 +153,10 @@ def apply_patches(ref: SourceRef, patches: list[Path],
     beyond the recorded ones, which must be their unchanged prefix by name
     and digest (else the checkout must be cleaned).  The check for local
     changes ignores ``kconfig_file``, which the snippets rewrite on every
-    sync; ``git am`` still refuses a patch that touches a dirty file."""
+    sync, and the partial file of that rewrite, which a killed run may have
+    left; ``git am`` still refuses a patch that touches a dirty file."""
+    ignored = [f":(exclude){path}"
+               for path in (kconfig_file, partial_path(kconfig_file))]
     checkout = ref.checkout_dir
     record = _load_record(ref)
     # The record names each patch before ``git am`` runs.  A run cut before
@@ -171,7 +174,7 @@ def apply_patches(ref: SourceRef, patches: list[Path],
     applied = []
     for patch, entry in zip(patches[len(patches) - len(pending):], pending):
         status = _git(checkout, "status", "--porcelain", "--", ".",
-                      f":(exclude){kconfig_file}").stdout.strip()
+                      *ignored).stdout.strip()
         if status:
             raise SourceError(
                 f"checkout {checkout} has unstaged changes; refusing to "
@@ -278,7 +281,10 @@ def apply_config_snippets(config_file: Path, snippets: list[Path]) -> None:
     out = [overrides.get(key, line) for key, line in zip(keys, lines)]
     present = set(keys)
     out += [line for key, line in overrides.items() if key not in present]
-    config_file.write_text("\n".join(out) + "\n", encoding="utf-8")
+    # Rewritten by rename: a write cut short leaves the old file, which the
+    # next sync merges into again.
+    with replacing(config_file) as partial:
+        partial.write_text("\n".join(out) + "\n", encoding="utf-8")
 
 
 def create_config_snippet(config_file: Path, baseline_file: Path,

@@ -23,7 +23,7 @@ from socks import cli
 from socks.blockpackage import archive_digest
 from socks.configtree import ConfigTree, process_project, resolve_imports, \
     load_project, resolve_placeholders
-from socks.environment import daemon_problem
+from socks.environment import daemon_problem, ready_images
 from socks.errors import ConfigError, CycleError
 from socks.fixture import materialize
 from socks.graph import ALL, DependencyGraph, Invocation, compute_active_set, \
@@ -303,16 +303,23 @@ def test_container_mode_builds_through_a_stand_in_docker(
     project_dir = materialize(tmp_path / "docker", container_tool="docker")
     recorder.reset()
     daemon_problem.cache_clear()
+    ready_images.clear()
     try:
         assert build_all(project_dir) == 0
     finally:
         daemon_problem.cache_clear()
+        ready_images.clear()
     assert image_manifest(project_dir) == image_manifest(host_dir)
     # Each step ran in a container, and none on the host.
     runs = [argv for kind, argv in recorder.calls
             if kind == "container-tool" and argv[1] == "run"]
     assert len(runs) == steps > 0
     assert recorder.count("build") == 0
+    # Each of the fixture's two images was inspected once.
+    inspected = [argv[3] for kind, argv in recorder.calls
+                 if kind == "container-tool" and argv[1:3] == ["image",
+                                                               "inspect"]]
+    assert len(inspected) == len(set(inspected)) == 2
 
 
 @pytest.mark.criterion(11, "500 random DAGs: orders satisfy all edges, "

@@ -8,6 +8,7 @@ import hashlib
 import http.server
 import os
 import random
+import shutil
 import socket
 import tarfile
 import threading
@@ -20,6 +21,7 @@ from socks import blockpackage as bp
 from socks import cli, registry
 from socks.builders.base import Builder, StageReport
 from socks.errors import BuilderError, PackageError
+from socks.fixture import materialize
 from socks.graph import ALL, Invocation
 from socks.orchestrator import run
 from socks.project import Project
@@ -174,7 +176,6 @@ def test_clean_removes_only_this_block(project, project_dir):
 
 
 def test_build_determinism_across_fresh_trees(tmp_path):
-    from socks.fixture import materialize
     digests = []
     for name in ("p1", "p2"):
         pdir = materialize(tmp_path / name)
@@ -327,6 +328,106 @@ def test_disk_full_while_staging_exits_2_naming_the_block(
     assert f"block '{block_id}' cannot build" in err
     assert "No space left on device" in err
     assert not (project_dir / "temp" / block_id / "build.json").exists()
+
+
+def kernel_image(project_dir: Path) -> str:
+    with tarfile.open(newest_package(project_dir, "kernel"), "r:gz") as tar:
+        return tar.extractfile("Image.txt").read().decode()
+
+
+def test_a_torn_config_rewrite_is_never_built(project_dir, tmp_path,
+                                               monkeypatch):
+    """ENOSPC a third of the way into merging the snippets into the
+    checkout's .config: that build fails, and the next one packages the
+    .config of a from-scratch build."""
+    config = project_dir / "socks.yml"
+    assert cli.main(["-f", str(config), "all", "build"]) == 0
+    checkout = project_dir / "temp" / "kernel" / "src"
+    time.sleep(0.05)
+    os.utime(checkout / "Makefile")
+    real_write_text = Path.write_text
+
+    def disk_full(path, data, *args, **kwargs):
+        if path.parent == checkout:
+            real_write_text(path, data[:len(data) // 3], *args, **kwargs)
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return real_write_text(path, data, *args, **kwargs)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(Path, "write_text", disk_full)
+        assert cli.main(["-f", str(config), "all", "build"]) == 2
+    assert sorted(p.name for p in checkout.glob(".*config*")) == [".config"]
+    assert cli.main(["-f", str(config), "all", "build"]) == 0
+    fresh = materialize(tmp_path / "fresh")
+    assert cli.main(["-f", str(fresh / "socks.yml"), "all", "build"]) == 0
+    assert kernel_image(project_dir) == kernel_image(fresh)
+    assert "CONFIG_CORES=4\n" in kernel_image(project_dir)
+
+
+def test_an_interrupted_import_copy_keeps_the_published_package(
+        project_dir, tmp_path, monkeypatch):
+    """Ctrl-C halfway through copying an imported package over the one
+    published under the same name: ``output/`` keeps the old bytes and
+    sidecar, and the next build publishes the new package."""
+    config = project_dir / "socks.yml"
+    payload = tmp_path / "bl31.elf"
+
+    def ci_package(text: str) -> Path:
+        payload.write_text(text * 4096, encoding="utf-8")
+        return bp.create_package("atf", tmp_path / "ci",
+                                 {"bl31.elf": payload},
+                                 stamp="20260101T000000Z").path
+
+    src = ci_package("first CI build\n")
+    config.write_text(config.read_text() + f"""\
+  atf:
+    source: import
+    project:
+      import_src: {src}
+""", encoding="utf-8")
+    assert cli.main(["-f", str(config), "atf", "build"]) == 0
+    output = project_dir / "temp" / "atf" / "output"
+    before = {path.name: path.read_bytes() for path in output.iterdir()}
+    assert sorted(before) == [f".{src.name}.digest", src.name]
+    ci_package("second CI build\n")
+
+    def interrupted_copy(source, dest, **kwargs):
+        data = Path(source).read_bytes()
+        Path(dest).write_bytes(data[:len(data) // 2])
+        raise KeyboardInterrupt
+
+    with monkeypatch.context() as patched:
+        patched.setattr(shutil, "copyfile", interrupted_copy)
+        assert cli.main(["-f", str(config), "atf", "build"]) == 130
+    assert {path.name: path.read_bytes()
+            for path in output.iterdir()} == before
+    assert cli.main(["-f", str(config), "atf", "build"]) == 0
+    assert (output / src.name).read_bytes() == src.read_bytes()
+
+
+def test_in_tree_build_outputs_do_not_rebuild_the_block(project_dir):
+    """A kernel step that writes into its checkout, as in-tree kernel and
+    U-Boot builds do (objects, and a .version bumped at every link): the
+    next two builds skip the kernel."""
+    config = project_dir / "socks.yml"
+    text = config.read_text(encoding="utf-8")
+    step = ('        - mkdir -p "$SOCKS_SRC_DIR/out" && date +%s%N > '
+            '"$SOCKS_SRC_DIR/out/vmlinux.o" && echo $(( $(cat '
+            '"$SOCKS_SRC_DIR/.version" 2>/dev/null || echo 0) + 1 )) > '
+            '"$SOCKS_SRC_DIR/.version"\n')
+    assert text.count("      steps:\n") == 1
+    config.write_text(text.replace("      steps:\n", "      steps:\n" + step),
+                      encoding="utf-8")
+    project = Project.load(config)
+    build_all(project)
+    checkout = project_dir / "temp" / "kernel" / "src"
+    assert (checkout / ".version").read_text() == "1\n"
+    assert (checkout / "out" / "vmlinux.o").is_file()
+    for _ in range(2):
+        report = build_all(Project.load(config))
+        assert [entry.block_id for entry in report.entries
+                if not entry.skipped] == []
+    assert (checkout / ".version").read_text() == "1\n"
 
 
 def test_import_source_without_src_fails_clearly(project):

@@ -140,10 +140,13 @@ def test_container_run_argv_shape(tmp_path, recorder, monkeypatch):
 
 @pytest.fixture
 def fresh_probe():
-    """Forget the daemon probe's answers before and after the test."""
+    """Forget the daemon probe's answers and the images found, before and
+    after the test."""
     environment.daemon_problem.cache_clear()
+    environment.ready_images.clear()
     yield
     environment.daemon_problem.cache_clear()
+    environment.ready_images.clear()
 
 
 @pytest.mark.parametrize("answer", [(1, "Cannot connect to the daemon"),
@@ -170,7 +173,27 @@ def test_daemon_is_probed_once_before_any_image_work(
     if FakeProc.returncode:
         assert argvs == [["docker", "info"]]
     else:
-        assert argvs == [["docker", "info"]] + 2 * [["docker", "image"]]
+        assert argvs == [["docker", "info"], ["docker", "image"]]
+
+
+def test_an_image_that_failed_to_build_is_asked_for_again(
+        tmp_path, recorder, monkeypatch, fresh_probe):
+    import subprocess
+
+    class FakeProc:
+        stdout = stderr = ""
+
+        def __init__(self, argv, **kwargs):
+            # The daemon answers; the image is missing and fails to build.
+            self.returncode = 0 if argv[1] == "info" else 1
+
+    monkeypatch.setattr(subprocess, "run", FakeProc)
+    for _ in range(2):
+        with pytest.raises(ProcessError, match="docker build"):
+            container_env(tmp_path).ensure_image()
+    argvs = [argv[:2] for _, argv in recorder.calls]
+    assert argvs == [["docker", "info"]] + 2 * [["docker", "image"],
+                                                ["docker", "build"]]
 
 
 def test_missing_container_tool_is_a_located_error(tmp_path, monkeypatch,

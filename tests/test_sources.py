@@ -187,6 +187,17 @@ def test_apply_patches_refuses_unstaged_changes(ref, tmp_path, origin):
         apply_patches(ref, patches, ".config")
 
 
+def test_a_killed_config_rewrite_does_not_block_new_patches(ref, tmp_path,
+                                                             origin):
+    """The partial file that a run killed while merging the snippets left
+    beside the .config is no local change."""
+    sync_source(ref)
+    patches = make_patches(origin, tmp_path, 1)
+    (ref.checkout_dir / "..config.partial").write_text("CONFIG_B",
+                                                      encoding="utf-8")
+    assert apply_patches(ref, patches, ".config") == [patches[0].name]
+
+
 def test_apply_patches_aborts_cleanly_on_conflict(ref, tmp_path, origin):
     sync_source(ref)
     patches = make_patches(origin, tmp_path, 2)
