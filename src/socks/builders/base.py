@@ -33,10 +33,10 @@ from typing import Callable
 from .. import blockpackage as bp
 from ..configtree import ConfigTree, render_effective_config
 from ..environment import EnvironmentManager
-from ..errors import BuilderError
+from ..errors import BuilderError, UsageError
 from ..incremental import BuildRecord, needs_rebuild, replacing
-from ..registry import BuilderDescriptor, CommandDescriptor
-from ..validation import GeneralSettings
+from ..registry import CommandDescriptor, method_name
+from ..validation import BlockProjectModel, GeneralSettings
 
 
 class StageReport:
@@ -64,12 +64,21 @@ class Builder:
     the defaults: a change of it rebuilds the block.  The block's folders
     (see above) and its environment ``env`` are fixed at construction,
     which writes nothing.
+
+    A subclass describes itself for the registry and the help texts: its
+    ``name`` in the configuration, a one-line ``description``, the
+    ``schema`` of its ``project`` mapping and its ``commands``, each
+    carried out by the method ``cmd_<verb>``.
     """
 
-    def __init__(self, *, descriptor: BuilderDescriptor, block_id: str,
-                 section: dict, general: GeneralSettings, tree: ConfigTree,
+    name: str
+    description: str
+    schema: type[BlockProjectModel]
+    commands: tuple[CommandDescriptor, ...] = ()
+
+    def __init__(self, *, block_id: str, section: dict,
+                 general: GeneralSettings, tree: ConfigTree,
                  project_dir: Path):
-        self.descriptor = descriptor
         self.block_id = block_id
         self.section = section
         self.settings = section["project"]
@@ -93,16 +102,33 @@ class Builder:
 
     # -- command dispatch --------------------------------------------------
 
+    @classmethod
+    def verbs(cls) -> list[str]:
+        return [c.verb for c in cls.commands]
+
+    @classmethod
+    def command(cls, verb: str) -> CommandDescriptor | None:
+        for cmd in cls.commands:
+            if cmd.verb == verb:
+                return cmd
+        return None
+
+    def offered_command(self, verb: str) -> CommandDescriptor:
+        """The command ``verb`` of this block; a verb its builder does not
+        offer is a usage error."""
+        cmd = self.command(verb)
+        if cmd is None:
+            raise UsageError(
+                f"command '{verb}' is not supported by the builder of block "
+                f"'{self.block_id}' ({self.name}); supported: "
+                f"{', '.join(self.verbs())}")
+        return cmd
+
     def apply(self, verb: str) -> StageReport:
-        self.descriptor.require_command(verb, self.block_id)
-        method = getattr(self, "cmd_" + verb.replace("-", "_"), None)
-        if method is None:
-            raise BuilderError(
-                f"builder {self.descriptor.name} declares '{verb}' "
-                f"but does not implement it")
+        self.offered_command(verb)
         start = time.monotonic()
         with self.failure(f"cannot {verb}"):
-            report = method()
+            report = getattr(self, method_name(verb))()
         report.duration = time.monotonic() - start
         return report
 

@@ -8,8 +8,7 @@ consumed package changes the manifest.
 
 from __future__ import annotations
 
-from ..registry import BuilderDescriptor
-from .script import SCRIPT_COMMANDS, ScriptBuilder, ScriptProjectModel
+from .script import ScriptBuilder, ScriptProjectModel
 
 FILESYSTEM_BLOCKS = {"rootfs", "ramfs"}
 
@@ -27,6 +26,11 @@ class ImageProjectModel(ScriptProjectModel):
 class ImageBuilder(ScriptBuilder):
     """Script builder that writes the manifest of its dependencies."""
 
+    name = "Image_Builder"
+    description = ("Assembles the bootable image from the packages of all "
+                   "other blocks")
+    schema = ImageProjectModel
+
     def generated(self, packages) -> dict[str, str]:
         lines = []
         for dep_id in sorted(packages):
@@ -34,12 +38,3 @@ class ImageBuilder(ScriptBuilder):
             files = ",".join(sorted(pkg.entries))
             lines.append(f"block={dep_id} digest={pkg.digest} files={files}\n")
         return {"boot.img": "".join(lines)}
-
-
-IMAGE_DESCRIPTOR = BuilderDescriptor(
-    name="Image_Builder",
-    description="Assembles the bootable image from the packages of all "
-                "other blocks",
-    schema=ImageProjectModel,
-    commands=SCRIPT_COMMANDS,
-)

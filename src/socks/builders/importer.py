@@ -8,26 +8,23 @@ it had been built locally.
 
 from __future__ import annotations
 
-from ..registry import BuilderDescriptor, CommandDescriptor
+from ..registry import CommandDescriptor
 from ..validation import BlockProjectModel
 from .base import CLEAN, Builder, StageReport
 
 
 class ImportBuilder(Builder):
 
-    def cmd_build(self) -> StageReport:
-        return self.run_import()
-
-
-IMPORT_DESCRIPTOR = BuilderDescriptor(
-    name="Import_Builder",
-    description="Imports this block's package from a path or URL instead "
-                "of building it",
-    schema=BlockProjectModel,
-    commands=(
+    name = "Import_Builder"
+    description = ("Imports this block's package from a path or URL instead "
+                   "of building it")
+    schema = BlockProjectModel
+    commands = (
         CommandDescriptor("build", "building",
                           "Fetches and republishes this block's package "
                           "from import_src."),
         CLEAN,
-    ),
-)
+    )
+
+    def cmd_build(self) -> StageReport:
+        return self.run_import()

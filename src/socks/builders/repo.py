@@ -14,7 +14,7 @@ from pathlib import Path
 
 from ..errors import BuilderError
 from ..incremental import replacing
-from ..registry import BuilderDescriptor, CommandDescriptor
+from ..registry import CommandDescriptor
 from ..sources import (SourceRef, apply_config_snippets, apply_patches,
                        create_config_snippet, create_patches_from_commits,
                        sync_source)
@@ -37,6 +37,24 @@ class RepoProjectModel(ScriptProjectModel):
 
 class RepoScriptBuilder(ScriptBuilder):
     """Script builder with git sources, patch series, and config snippets."""
+
+    name = "Repo_Script_Builder"
+    description = ("Builds a block from a git repository with project "
+                   "patches and config snippets")
+    schema = RepoProjectModel
+    commands = (
+        PREPARE, BUILD, CLEAN,
+        CommandDescriptor("create-patches", "configuring",
+                          "Uses the committed changes in this block's repo "
+                          "to create patch files."),
+        CommandDescriptor("create-cfg-snippet", "configuring",
+                          "Creates a configuration snippet from the changes "
+                          "in the .config file in this block's repo."),
+        START_CONTAINER,
+        CommandDescriptor("menucfg", "configuring",
+                          "Opens the menuconfig tool to enable interactive "
+                          "configuration of the project in this block."),
+    )
 
     def __init__(self, **kwargs):
         super().__init__(**kwargs)
@@ -133,26 +151,3 @@ class RepoScriptBuilder(ScriptBuilder):
             "the interactive menuconfig tool is not available in this "
             "builder; edit the .config file in the checkout and run "
             "create-cfg-snippet instead")
-
-
-REPO_COMMANDS = (
-    PREPARE, BUILD, CLEAN,
-    CommandDescriptor("create-patches", "configuring",
-                      "Uses the committed changes in this block's repo to "
-                      "create patch files."),
-    CommandDescriptor("create-cfg-snippet", "configuring",
-                      "Creates a configuration snippet from the changes in "
-                      "the .config file in this block's repo."),
-    START_CONTAINER,
-    CommandDescriptor("menucfg", "configuring",
-                      "Opens the menuconfig tool to enable interactive "
-                      "configuration of the project in this block."),
-)
-
-REPO_DESCRIPTOR = BuilderDescriptor(
-    name="Repo_Script_Builder",
-    description="Builds a block from a git repository with project patches "
-                "and config snippets",
-    schema=RepoProjectModel,
-    commands=REPO_COMMANDS,
-)

@@ -13,7 +13,6 @@ from pathlib import Path
 
 from .. import blockpackage as bp
 from ..errors import BuilderError
-from ..registry import BuilderDescriptor
 from ..validation import BlockProjectModel, ContentRuleModel
 from .base import (BUILD, CLEAN, PREPARE, START_CONTAINER, Builder,
                    StageReport)
@@ -44,6 +43,11 @@ class RootfsProjectModel(ScriptProjectModel):
 class ScriptBuilder(Builder):
     """Runs configured shell steps in the block's environment; variants
     override the hooks below, and ``cmd_build`` runs them in order."""
+
+    name = "Script_Builder"
+    description = "Builds a block by running configured shell steps"
+    schema = ScriptProjectModel
+    commands = (PREPARE, BUILD, CLEAN, START_CONTAINER)
 
     def source_paths(self) -> list[Path]:
         return [self.project_dir / p for p in self.settings["inputs"]]
@@ -128,6 +132,11 @@ class ScriptBuilder(Builder):
 class RootfsBuilder(ScriptBuilder):
     """Script builder that records injected user packages in the artifact."""
 
+    name = "Rootfs_Builder"
+    description = ("Builds a root file system artifact and installs "
+                   "user-provided packages into it")
+    schema = RootfsProjectModel
+
     def source_paths(self) -> list[Path]:
         return super().source_paths() + [
             self.project_dir / ref for ref in self.settings["extra_packages"]
@@ -152,21 +161,3 @@ class RootfsBuilder(ScriptBuilder):
                 raise BuilderError(f"extra package not found: {ref!r}")
             lines.append(f"{payload.name} sha256={bp.file_digest(payload)}\n")
         return {"packages.txt": "".join(lines)}
-
-
-SCRIPT_COMMANDS = (PREPARE, BUILD, CLEAN, START_CONTAINER)
-
-SCRIPT_DESCRIPTOR = BuilderDescriptor(
-    name="Script_Builder",
-    description="Builds a block by running configured shell steps",
-    schema=ScriptProjectModel,
-    commands=SCRIPT_COMMANDS,
-)
-
-ROOTFS_DESCRIPTOR = BuilderDescriptor(
-    name="Rootfs_Builder",
-    description="Builds a root file system artifact and installs "
-                "user-provided packages into it",
-    schema=RootfsProjectModel,
-    commands=SCRIPT_COMMANDS,
-)

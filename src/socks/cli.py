@@ -12,16 +12,14 @@ import sys
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import BuilderError, GraphError, SocksError, UsageError
+from .builders.base import Builder
+from .errors import SocksError, UsageError
 from .graph import ALL, Invocation, check_block
 from .orchestrator import run
 from .project import Project
-from .registry import BuilderDescriptor, CommandDescriptor
 
 DEFAULT_PROJECT_FILE = "socks.yml"
 HELP_WIDTH = 96
-
-log = logging.getLogger(__name__)
 
 
 class HelpRequest(NamedTuple):
@@ -121,11 +119,7 @@ def parse(argv: list[str]) -> ParsedArgs:
 
     if command is None:
         raise UsageError(f"missing command for block '{block}'\n{USAGE}")
-    target = ALL if block == ALL else block
-    if target == ALL and group:
-        log.info("--group has no effect with 'all'")
-        group = False
-    out.invocation = Invocation(target=target, command=command, group=group)
+    out.invocation = Invocation(target=block, command=command, group=group)
     return out
 
 
@@ -148,50 +142,37 @@ def tool_help(project: Project | None) -> str:
         lines = [text.rstrip("\n"), "", "blocks:"]
         for block_id in sorted(project.builders):
             builder = project.builders[block_id]
-            lines.append(f"  {block_id:<20}{builder.descriptor.description}")
+            lines.append(f"  {block_id:<20}{builder.description}")
         lines.append(f"  {'all':<20}apply the command to all blocks")
         text = "\n".join(lines) + "\n"
     return text
 
 
-def _descriptor(project: Project, block_id: str) -> BuilderDescriptor:
-    """Builder descriptor of a block; an unknown block is a usage error."""
-    try:
-        check_block(project.builders, block_id)
-    except GraphError as exc:
-        raise UsageError(str(exc)) from exc
-    return project.builders[block_id].descriptor
-
-
-def _command(project: Project, block_id: str, verb: str) -> CommandDescriptor:
-    """A block's command; an unsupported verb is a usage error."""
-    descriptor = _descriptor(project, block_id)
-    try:
-        return descriptor.require_command(verb, block_id)
-    except BuilderError as exc:
-        raise UsageError(str(exc)) from exc
+def _builder(project: Project, block_id: str) -> Builder:
+    """The builder of a block; an unknown block is a usage error."""
+    check_block(project.builders, block_id)
+    return project.builders[block_id]
 
 
 def block_help(project: Project, block_id: str) -> str:
     if block_id == ALL:
         return tool_help(project)
-    descriptor = _descriptor(project, block_id)
-    verbs = descriptor.verbs()
+    builder = _builder(project, block_id)
     parser, opts = _help_parser(f"socks {block_id}",
-                                description=descriptor.description)
+                                description=builder.description)
     opts.add_argument("-g", "--group", action="store_true",
                       help="Interact not only with the specified block, but "
                            "also with all blocks on which this block "
                            "depends.")
     commands = parser.add_subparsers(
-        title="commands", metavar="{" + ",".join(verbs) + "}")
-    for cmd in descriptor.commands:
+        title="commands", metavar="{" + ",".join(builder.verbs()) + "}")
+    for cmd in builder.commands:
         commands.add_parser(cmd.verb, help=cmd.help)
     return parser.format_help()
 
 
 def command_help(project: Project, block_id: str, verb: str) -> str:
-    cmd = _command(project, block_id, verb)
+    cmd = _builder(project, block_id).offered_command(verb)
     return (f"usage: socks {block_id} {verb}\n\n{cmd.help}\n"
             f"\ncategory: {cmd.category}\n")
 
@@ -259,10 +240,7 @@ def main(argv: list[str] | None = None) -> int:
             print(project.rendered_config(), end="")
             return 0
 
-        inv = parsed.invocation
-        if inv.target != ALL:
-            _command(project, inv.target, inv.command)
-        report = run(project, inv)
+        report = run(project, parsed.invocation)
         _print_summary(report)
         if (report.outcome == "completed" and len(report.entries) == 1
                 and report.entries[0].exit_status):

@@ -13,7 +13,7 @@ import heapq
 from typing import NamedTuple
 
 from .blockpackage import is_url
-from .errors import CycleError, GraphError
+from .errors import CycleError, GraphError, UsageError
 
 ALL = "all"
 
@@ -37,10 +37,11 @@ class Invocation(NamedTuple):
 
 
 def check_block(known, block_id: str) -> None:
-    """Raise unless ``block_id`` is one of the ``known`` block IDs."""
+    """Raise a usage error unless ``block_id`` is one of the ``known``
+    block IDs."""
     if block_id not in known:
         valid = ", ".join(sorted(known))
-        raise GraphError(f"unknown block '{block_id}' (valid: {valid})")
+        raise UsageError(f"unknown block '{block_id}' (valid: {valid})")
 
 
 def build_graph(blocks: dict[str, dict[str, str]],

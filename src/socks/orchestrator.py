@@ -13,7 +13,7 @@ import threading
 
 from .blockpackage import run_digest_memo
 from .builders.base import StageReport
-from .errors import SocksError
+from .errors import SocksError, UsageError
 from .graph import ALL, Invocation, compute_active_set, order_for_command
 from .project import Project
 
@@ -47,33 +47,33 @@ class RunReport:
         return self.error.exit_code if self.error is not None else 2
 
 
-def command_category(project: Project, active: list[str] | set[str],
-                     verb: str) -> str:
-    for block_id in sorted(active):
-        cmd = project.builders[block_id].descriptor.command(verb)
-        if cmd is not None:
-            return cmd.category
-    return "building"
-
-
 def plan(project: Project, inv: Invocation) -> list[str]:
-    """Active blocks in execution order for this invocation."""
+    """Active blocks in execution order for this invocation, checked once
+    before any block runs.
+
+    An unknown block, or a named block whose builder does not offer the
+    command, is a usage error.  Any other active block whose builder lacks
+    the command is skipped, and so is the invocation a usage error when no
+    active block offers it.
+    """
     active = compute_active_set(project.graph, inv)
-    category = command_category(project, active, inv.command)
-    order = order_for_command(active, category, project.graph)
     if inv.target != ALL:
-        # For an explicit target the builder must support the verb.
-        project.builders[inv.target].descriptor.require_command(
-            inv.command, inv.target)
-        return order
-    supported = []
+        project.builders[inv.target].offered_command(inv.command)
+    elif inv.group:
+        log.info("--group has no effect with 'all'")
+    offered = {block_id: project.builders[block_id].command(inv.command)
+               for block_id in active}
+    categories = [cmd.category for _, cmd in sorted(offered.items()) if cmd]
+    if not categories:
+        verbs = {v for b in project.builders.values() for v in b.verbs()}
+        raise UsageError(f"no block offers the command '{inv.command}'; "
+                         f"offered: {', '.join(sorted(verbs))}")
+    order = order_for_command(active, categories[0], project.graph)
     for block_id in order:
-        if project.builders[block_id].descriptor.command(inv.command):
-            supported.append(block_id)
-        else:
+        if offered[block_id] is None:
             log.info("block '%s' skipped: its builder has no '%s' command",
                      block_id, inv.command)
-    return supported
+    return [block_id for block_id in order if offered[block_id]]
 
 
 def run(project: Project, inv: Invocation) -> RunReport:

@@ -16,7 +16,7 @@ from .builders.base import Builder
 from .configtree import ConfigTree, process_project, render_effective_config
 from .errors import GraphError, ValidationError
 from .graph import DependencyGraph, build_graph
-from .registry import get_descriptor, instantiate
+from .registry import builder_class
 from .validation import GeneralSettings, validate_block, validate_general
 
 
@@ -44,11 +44,11 @@ class Project:
                     "every block section needs a 'builder' key",
                     key_path=f"blocks/{block_id}/builder",
                     origin=tree.origin(f"blocks/{block_id}"))
-            descriptor = get_descriptor(str(section["builder"]))
-            instances[block_id] = instantiate(
-                descriptor.name, block_id,
-                validate_block(tree, block_id, descriptor.schema), general,
-                tree, config_file.parent)
+            builder = builder_class(str(section["builder"]))
+            instances[block_id] = builder(
+                block_id=block_id,
+                section=validate_block(tree, block_id, builder.schema),
+                general=general, tree=tree, project_dir=config_file.parent)
 
         try:
             graph = build_graph(

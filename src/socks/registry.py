@@ -1,16 +1,17 @@
-"""Builder registry: maps builder names to descriptors and factories.
+"""Builder registry: maps builder names to builder classes.
 
-Builders are selected purely by name from the project configuration; the
-registry is populated at startup and read-only afterwards.
+Builders are selected purely by name from the project configuration.  A
+builder class describes itself through its ``name``, ``description``,
+``schema`` and ``commands``; the registry is populated at startup and
+read-only afterwards.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .errors import BuilderError
-from .validation import BlockProjectModel
 
 VERB_RE = re.compile(r"^[a-z][a-z0-9]*(-[a-z0-9]+)*$")
 CATEGORIES = ("building", "configuring", "debugging", "cleaning")
@@ -33,54 +34,30 @@ class CommandDescriptor(_Command):
         return super().__new__(cls, verb, category, help)
 
 
-class _Builder(NamedTuple):
-    name: str
-    description: str
-    schema: type[BlockProjectModel]
-    commands: tuple[CommandDescriptor, ...]
+def method_name(verb: str) -> str:
+    """The builder method that carries out ``verb``."""
+    return "cmd_" + verb.replace("-", "_")
 
 
-class BuilderDescriptor(_Builder):
-    __slots__ = ()
-
-    def __new__(cls, name: str, description: str,
-                schema: type[BlockProjectModel],
-                commands: tuple[CommandDescriptor, ...]):
-        if not commands:
-            raise ValueError(f"builder {name} declares no commands")
-        verbs = [c.verb for c in commands]
-        if len(set(verbs)) != len(verbs):
-            raise ValueError(f"builder {name} has duplicate verbs")
-        return super().__new__(cls, name, description, schema, commands)
-
-    def verbs(self) -> list[str]:
-        return [c.verb for c in self.commands]
-
-    def command(self, verb: str) -> CommandDescriptor | None:
-        for cmd in self.commands:
-            if cmd.verb == verb:
-                return cmd
-        return None
-
-    def require_command(self, verb: str, block_id: str) -> CommandDescriptor:
-        """The command ``verb`` of block ``block_id``, which this builder
-        must support."""
-        cmd = self.command(verb)
-        if cmd is None:
-            raise BuilderError(
-                f"command '{verb}' is not supported by the builder of block "
-                f"'{block_id}' ({self.name}); supported: "
-                f"{', '.join(self.verbs())}")
-        return cmd
+_REGISTRY: dict[str, type] = {}
 
 
-_REGISTRY: dict[str, tuple[BuilderDescriptor, Callable]] = {}
-
-
-def register_builder(descriptor: BuilderDescriptor, factory: Callable) -> None:
-    if descriptor.name in _REGISTRY:
-        raise BuilderError(f"builder '{descriptor.name}' is already registered")
-    _REGISTRY[descriptor.name] = (descriptor, factory)
+def register_builder(cls: type) -> None:
+    """Register builder class ``cls`` under its ``name``.  Refuses a name
+    already taken, an empty or repeated verb list, and a verb without its
+    ``cmd_<verb>`` method."""
+    verbs = cls.verbs()
+    if cls.name in _REGISTRY:
+        raise BuilderError(f"builder '{cls.name}' is already registered")
+    if not verbs:
+        raise BuilderError(f"builder {cls.name} declares no commands")
+    if len(set(verbs)) != len(verbs):
+        raise BuilderError(f"builder {cls.name} has duplicate verbs")
+    for verb in verbs:
+        if not callable(getattr(cls, method_name(verb), None)):
+            raise BuilderError(f"builder {cls.name} declares '{verb}' but "
+                               f"has no method {method_name(verb)}")
+    _REGISTRY[cls.name] = cls
 
 
 def unregister_builder(name: str) -> None:
@@ -91,17 +68,8 @@ def registered_names() -> list[str]:
     return sorted(_REGISTRY)
 
 
-def get_descriptor(name: str) -> BuilderDescriptor:
+def builder_class(name: str) -> type:
     if name not in _REGISTRY:
         known = ", ".join(registered_names()) or "(none)"
         raise BuilderError(f"unknown builder '{name}' (available: {known})")
-    return _REGISTRY[name][0]
-
-
-def instantiate(name: str, block_id: str, section, general, tree,
-                project_dir):
-    """Create a builder bound to its block; performs no filesystem writes."""
-    descriptor = get_descriptor(name)
-    factory = _REGISTRY[name][1]
-    return factory(descriptor=descriptor, block_id=block_id, section=section,
-                   general=general, tree=tree, project_dir=project_dir)
+    return _REGISTRY[name]

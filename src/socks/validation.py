@@ -1,7 +1,7 @@
 """Typed validation of the processed configuration tree.
 
-The general section is checked against a registered project type (which
-defines the mandatory block set and optional-block groups for one SoC
+The general section is checked against its project type (which defines
+the mandatory block set and optional-block groups for one SoC
 architecture).  Each block section is checked against a common model plus the
 builder-specific schema supplied by the block's builder.
 """
@@ -24,34 +24,17 @@ ALL_CORES = "all-cores"
 class ProjectType(typing.NamedTuple):
     """Block-completeness rules for one SoC architecture."""
 
-    name: str
     mandatory_blocks: tuple[str, ...]
     # Each group requires at least one of its members to be configured.
     optional_groups: tuple[frozenset[str], ...] = ()
 
 
-_PROJECT_TYPES: dict[str, ProjectType] = {}
-
-
-def register_project_type(ptype: ProjectType) -> None:
-    _PROJECT_TYPES[ptype.name] = ptype
-
-
-def project_type(name: str) -> ProjectType:
-    if name not in _PROJECT_TYPES:
-        known = ", ".join(sorted(_PROJECT_TYPES)) or "(none)"
-        raise ValidationError(
-            f"unknown project type '{name}' (registered: {known})",
-            key_path="project/type")
-    return _PROJECT_TYPES[name]
-
-
-register_project_type(ProjectType(
-    name="ZynqMP",
-    mandatory_blocks=("atf", "devicetree", "fsbl", "image", "kernel",
-                      "pmu_fw", "uboot", "vivado"),
-    optional_groups=(frozenset({"ramfs", "rootfs"}),),
-))
+PROJECT_TYPES = {
+    "ZynqMP": ProjectType(
+        mandatory_blocks=("atf", "devicetree", "fsbl", "image", "kernel",
+                          "pmu_fw", "uboot", "vivado"),
+        optional_groups=(frozenset({"ramfs", "rootfs"}),)),
+}
 
 
 class GeneralSettings(typing.NamedTuple):
@@ -212,8 +195,12 @@ def validate_general(tree: ConfigTree) -> GeneralSettings:
     for required in ("project/type", "project/name"):
         if not tree.has(required):
             raise _error("missing required key", required, tree)
-    ptype_name = tree.get("project/type")
-    ptype = project_type(str(ptype_name))
+    ptype_name = str(tree.get("project/type"))
+    if ptype_name not in PROJECT_TYPES:
+        raise _error(f"unknown project type '{ptype_name}' (known: "
+                     f"{', '.join(sorted(PROJECT_TYPES))})", "project/type",
+                     tree)
+    ptype = PROJECT_TYPES[ptype_name]
 
     tool = tree.get("external_tools/container_tool", "docker")
     if tool not in CONTAINER_TOOLS:
@@ -244,7 +231,7 @@ def validate_general(tree: ConfigTree) -> GeneralSettings:
                          f"configured", "blocks", tree)
 
     return GeneralSettings(
-        project_type=str(ptype_name),
+        project_type=ptype_name,
         project_name=str(tree.get("project/name")),
         container_tool=str(tool),
         max_threads=max_threads,

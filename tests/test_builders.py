@@ -20,14 +20,14 @@ import pytest
 from socks import blockpackage as bp
 from socks import cli, registry
 from socks.builders.base import Builder, StageReport
-from socks.errors import BuilderError, PackageError
+from socks.errors import BuilderError, PackageError, UsageError
 from socks.fixture import materialize
 from socks.graph import ALL, Invocation
 from socks.orchestrator import run
 from socks.project import Project
-from socks.registry import (BuilderDescriptor, CommandDescriptor,
-                            get_descriptor, register_builder,
-                            registered_names, unregister_builder)
+from socks.registry import (CommandDescriptor, builder_class,
+                            register_builder, registered_names,
+                            unregister_builder)
 from socks.validation import BlockProjectModel
 
 
@@ -55,21 +55,45 @@ def test_builtin_builders_registered():
             "Import_Builder", "Image_Builder"} <= set(registered_names())
 
 
+class TmpBuilder(Builder):
+    name = "Tmp_Builder"
+    description = "x"
+    schema = BlockProjectModel
+    commands = (CommandDescriptor("build", "building", "Builds."),)
+
+    def cmd_build(self) -> StageReport:
+        return StageReport(self.block_id, "build")
+
+
 def test_duplicate_registration_rejected():
-    descriptor = BuilderDescriptor(
-        name="Tmp_Builder", description="x", schema=BlockProjectModel,
-        commands=(CommandDescriptor("build", "building", "Builds."),))
-    register_builder(descriptor, Builder)
+    register_builder(TmpBuilder)
     try:
+        assert builder_class("Tmp_Builder") is TmpBuilder
         with pytest.raises(BuilderError, match="already registered"):
-            register_builder(descriptor, Builder)
+            register_builder(TmpBuilder)
     finally:
         unregister_builder("Tmp_Builder")
 
 
+@pytest.mark.parametrize("commands, message", [
+    ((), "declares no commands"),
+    ((CommandDescriptor("build", "building", "Builds."),) * 2,
+     "duplicate verbs"),
+    ((CommandDescriptor("build", "building", "Builds."),
+      CommandDescriptor("deploy-all", "building", "Deploys.")),
+     "declares 'deploy-all' but has no method cmd_deploy_all"),
+])
+def test_registration_refuses_a_bad_command_list(commands, message):
+    cls = type("Bad_Builder", (TmpBuilder,),
+               {"name": "Bad_Builder", "commands": commands})
+    with pytest.raises(BuilderError, match=message):
+        register_builder(cls)
+    assert "Bad_Builder" not in registered_names()
+
+
 def test_unknown_builder_lists_available():
     with pytest.raises(BuilderError, match="available:.*Script_Builder"):
-        get_descriptor("No_Such_Builder")
+        builder_class("No_Such_Builder")
 
 
 PREPARE = ("prepare", "building",
@@ -105,7 +129,7 @@ def test_builtin_builder_commands_pinned():
     }
     for name, commands in expected.items():
         assert [(c.verb, c.category, c.help)
-                for c in get_descriptor(name).commands] == commands, name
+                for c in builder_class(name).commands] == commands, name
 
 
 def test_command_descriptor_validation():
@@ -126,7 +150,7 @@ def test_instantiation_writes_nothing(project_dir):
 
 def test_project_load(project):
     assert len(project.builders) == 10
-    assert project.builders["kernel"].descriptor.name == "Repo_Script_Builder"
+    assert project.builders["kernel"].name == "Repo_Script_Builder"
     assert project.general.container_tool == "disabled"
 
 
@@ -215,7 +239,7 @@ def test_missing_declared_output_named(project_dir):
 
 
 def test_unsupported_verb_lists_supported(project):
-    with pytest.raises(BuilderError, match="supported:"):
+    with pytest.raises(UsageError, match="supported:"):
         project.builders["vivado"].apply("create-patches")
 
 

@@ -17,6 +17,7 @@ from socks import cli
 from socks.errors import UsageError
 from socks.fixture import materialize
 from socks.graph import ALL
+from socks.orchestrator import plan
 from socks.project import Project
 
 REPO_BLOCK_VERBS = ["prepare", "build", "clean", "create-patches",
@@ -43,11 +44,13 @@ def test_parse_all_target():
     assert inv.target == ALL
 
 
-def test_parse_group_with_all_ignored_with_notice(caplog):
+def test_parse_group_with_all_ignored_with_notice(project, caplog):
+    inv = cli.parse(["all", "-g", "build"]).invocation
+    assert inv.group is True
     with caplog.at_level("INFO"):
-        inv = cli.parse(["all", "-g", "build"]).invocation
-    assert inv.group is False
-    assert "no effect" in caplog.text
+        order = plan(project, inv)
+    assert order == plan(project, inv._replace(group=False))
+    assert "--group has no effect with 'all'" in caplog.text
 
 
 def test_parse_file_option():
@@ -182,6 +185,14 @@ def test_main_unsupported_command(project_dir, capsys):
     assert "supported:" in capsys.readouterr().err
 
 
+def test_main_misspelled_verb_with_all_is_a_usage_error(project_dir, capsys):
+    assert run_cli(project_dir, "all", "biuld") == 1
+    captured = capsys.readouterr()
+    assert "socks: no block offers the command 'biuld'" in captured.err
+    assert captured.out == ""
+    assert not (project_dir / "temp").exists()
+
+
 def test_main_missing_config(tmp_path, capsys):
     assert cli.main(["-f", str(tmp_path / "none.yml"), "all", "build"]) == 1
     assert "not found" in capsys.readouterr().err
@@ -247,15 +258,25 @@ def test_block_help_via_main(project_dir, capsys):
     assert verbs == REPO_BLOCK_VERBS
 
 
-def test_python_m_socks_cli_builds(project_dir):
+def python_m_socks_cli(project_dir: Path, *args: str):
     src_root = Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src_root), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "socks.cli", "-f",
-         str(project_dir / "socks.yml"), "all", "build"],
+         str(project_dir / "socks.yml"), *args],
         env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_python_m_socks_cli_builds(project_dir):
+    proc = python_m_socks_cli(project_dir, "all", "build")
     assert proc.returncode == 0, proc.stderr
     assert "image: build done" in proc.stdout
     assert list((project_dir / "temp" / "image" / "output")
                 .glob("bp_image_*.tar.gz"))
+
+
+def test_group_with_all_notice_reaches_stderr(project_dir):
+    proc = python_m_socks_cli(project_dir, "all", "-g", "clean")
+    assert proc.returncode == 0, proc.stderr
+    assert "--group has no effect with 'all'" in proc.stderr

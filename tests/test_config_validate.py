@@ -13,7 +13,8 @@ from socks import builders  # noqa: F401  (registers the built-in builders)
 from socks import cli
 from socks.configtree import ConfigTree, process_project
 from socks.errors import ValidationError
-from socks.registry import get_descriptor
+from socks.project import Project
+from socks.registry import builder_class
 from socks.validation import (ALL_CORES, BlockProjectModel, GeneralSettings,
                               validate_block, validate_general)
 
@@ -32,7 +33,7 @@ def drop_block(tree: ConfigTree, block_id: str) -> ConfigTree:
 def validate(tree: ConfigTree, block_id: str):
     """``validate_block`` with the schema of the block's configured builder."""
     builder = tree.get(f"blocks/{block_id}/builder")
-    return validate_block(tree, block_id, get_descriptor(builder).schema)
+    return validate_block(tree, block_id, builder_class(builder).schema)
 
 
 def test_fixture_general_settings(fixture_tree):
@@ -64,6 +65,18 @@ def test_unknown_project_type():
                        "blocks": {"a": {}}})
     with pytest.raises(ValidationError, match="unknown project type"):
         validate_general(tree)
+
+
+def test_unknown_project_type_names_its_line(project_dir):
+    config = project_dir / "socks.yml"
+    config.write_text(config.read_text().replace("type: ZynqMP",
+                                                 "type: Versal"),
+                      encoding="utf-8")
+    with pytest.raises(ValidationError) as info:
+        Project.load(config)
+    assert str(info.value) == (
+        f"unknown project type 'Versal' (known: ZynqMP) "
+        f"(at 'project/type', in {config.resolve()}:8)")
 
 
 def test_missing_required_keys():

@@ -38,7 +38,7 @@ def golden_outputs(project_dir: Path) -> dict[str, str]:
     helps = []
     project = Project.load(config)
     for block_id in sorted(project.builders):
-        for verb in project.builders[block_id].descriptor.verbs():
+        for verb in project.builders[block_id].verbs():
             code, text, _ = _run(config, block_id, verb, "--help")
             assert code == 0
             helps.append(f"$ socks {block_id} {verb} --help\n{text}")

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from socks.errors import CycleError, GraphError
+from socks.errors import CycleError, GraphError, UsageError
 from socks.graph import (ALL, DependencyGraph, Invocation, build_graph,
                          compute_active_set, order_for_command,
                          topological_order)
@@ -89,7 +89,7 @@ def test_active_set_group_rootfs(project):
 
 def test_active_set_unknown_block(project):
     inv = Invocation(target="nope", command="build")
-    with pytest.raises(GraphError, match="valid:"):
+    with pytest.raises(UsageError, match="unknown block 'nope' \\(valid:"):
         compute_active_set(project.graph, inv)
 
 

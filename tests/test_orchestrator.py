@@ -9,9 +9,9 @@ import os
 import pytest
 
 from socks import blockpackage as bp
-from socks import orchestrator
+from socks import cli, orchestrator
 from socks.builders.base import StageReport
-from socks.errors import BuilderError, ValidationError
+from socks.errors import BuilderError, UsageError, ValidationError
 from socks.graph import ALL, Invocation
 from socks.incremental import BuildRecord
 from socks.orchestrator import plan, run
@@ -57,8 +57,48 @@ def test_plan_logs_unsupported_blocks_in_execution_order(project, caplog):
 
 
 def test_plan_explicit_unsupported_verb_rejected(project):
-    with pytest.raises(BuilderError, match="supported:"):
+    with pytest.raises(UsageError, match="supported:"):
         plan(project, Invocation("vivado", "create-patches"))
+
+
+def test_plan_rejects_a_verb_no_active_block_offers(project):
+    with pytest.raises(UsageError, match="no block offers the command "
+                                         "'biuld'; offered: build, clean"):
+        plan(project, Invocation(ALL, "biuld"))
+
+
+def import_vivado(project_dir):
+    """Switch the fixture's vivado block to the import builder, which
+    offers only build and clean."""
+    config = project_dir / "project-zynqmp-default.yml"
+    text = config.read_text(encoding="utf-8")
+    start = text.index("  vivado:\n")
+    end = text.index("  devicetree:\n")
+    config.write_text(text[:start] + (
+        "  vivado:\n"
+        "    builder: Import_Builder\n"
+        "    container:\n"
+        "      image: socks-mock-builder\n"
+        "    project:\n"
+        "      import_src: ci/bp_vivado_*.tar.gz\n"
+        "      emits:\n"
+        "        required: [\"*.xsa\"]\n\n") + text[end:],
+        encoding="utf-8")
+    return Project.load(project_dir / "socks.yml")
+
+
+def test_group_skips_a_dependency_without_the_verb(project_dir, caplog):
+    project = import_vivado(project_dir)
+    caplog.set_level(logging.INFO, logger="socks.orchestrator")
+    inv = Invocation("devicetree", "prepare", group=True)
+    assert plan(project, inv) == ["devicetree"]
+    assert "block 'vivado' skipped: its builder has no 'prepare' command" \
+        in caplog.text
+    report = run(project, inv)
+    assert report.outcome == "completed", vars(report)
+    assert [e.block_id for e in report.entries] == ["devicetree"]
+    assert cli.main(["-f", str(project_dir / "socks.yml"), "devicetree",
+                     "-g", "prepare"]) == 0
 
 
 def test_execution_is_strictly_sequential(project, monkeypatch):
@@ -150,15 +190,17 @@ def test_skipped_blocks_reported(project):
 
 
 def test_command_category_lookup(project):
-    active = set(project.graph.nodes)
-    assert orchestrator.command_category(project, active, "build") \
-        == "building"
-    assert orchestrator.command_category(project, active, "clean") \
-        == "cleaning"
-    assert orchestrator.command_category(project, active, "create-patches") \
-        == "configuring"
-    assert orchestrator.command_category(project, active, "start-container") \
-        == "debugging"
+    # plan orders the blocks by the category of the verb: building,
+    # debugging and configuring run dependencies first, cleaning in reverse.
+    forward = plan(project, BUILD_ALL)
+    assert plan(project, Invocation(ALL, "start-container")) == forward
+    assert plan(project, CLEAN_ALL) == forward[::-1]
+    group = Invocation("rootfs", "build", group=True)
+    assert plan(project, group._replace(command="start-container")) \
+        == plan(project, group)
+    assert plan(project, group._replace(command="clean")) \
+        == plan(project, group)[::-1]
+    assert plan(project, Invocation(ALL, "create-patches")) == ["kernel"]
 
 
 def test_in_place_package_rewrite_between_runs_yields_new_digest(
